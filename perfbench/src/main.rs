@@ -1,6 +1,8 @@
 //! The fabric-power benchmark: three workloads driven in one process
 //! through the public API, end-to-end metrics from untraced timed passes,
-//! per-layer metrics from a separate traced run.
+//! per-layer metrics from a separate traced run.  Host-time end-to-end
+//! metrics are scaled to a reference host speed measured by a fixed
+//! calibration kernel timed around every pass (`calib`).
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
@@ -13,6 +15,7 @@
 //! and the same record plus the traced run's spans is written to
 //! `.bench_out/`.  See `perfbench/README.md`.
 
+mod calib;
 mod checks;
 mod fidelity;
 mod stats;
@@ -33,8 +36,9 @@ use workloads::{BoxError, Workload, DEFAULT_SEED};
 const OUT_DIR: &str = ".bench_out";
 
 /// Set-ups before the warm-up pass and again before every timed pass;
-/// `setup_s` is the median of them all.  Spreading them over the run keeps
-/// one moment's host load from deciding a microsecond-scale figure.
+/// `setup_s` is the median of them all, at the reference host speed (see
+/// `calib`).  Spreading them over the run keeps one moment's host load from
+/// deciding a microsecond-scale figure.
 const SETUPS_PER_PASS: usize = 5;
 
 /// Timed passes per run at the least, however short `--seconds` is.
@@ -225,13 +229,21 @@ fn run() -> Result<(), BoxError> {
     let mut attempted = cells;
     let mut failed = 0;
 
+    // Every pass's seconds, and the same at the reference host speed: the
+    // pass over the slowdown of the calibration chunks timed around it.
     let mut walls = Vec::new();
+    let mut scaled = Vec::new();
+    let mut chunks = Vec::new();
     let (mut hits, mut requests, mut requeues, mut reconnects) = (0, 0, 0, 0);
     let timed = Instant::now();
     while walls.len() < MIN_PASSES || timed.elapsed().as_secs_f64() < args.seconds {
         set_up_again(&mut setup_s, SETUPS_PER_PASS)?;
+        let before = calib::side();
         let pass = workloads::pass(workload, &prepared)?;
+        let around = [before, calib::side()].concat();
         walls.push(pass.seconds);
+        scaled.push(pass.seconds / calib::slowdown(&around));
+        chunks.extend(around);
         attempted += cells;
         if pass.json != reference.json || counts(&pass) != reference_counts {
             failed += failed_cells(&reference.document, &pass.document).max(1);
@@ -252,8 +264,13 @@ fn run() -> Result<(), BoxError> {
         failed += workloads::check_against_run_plan(&prepared, &reference.document)?;
     }
 
-    let wall_s = median(&walls);
+    let raw_wall_s = median(&walls);
     let (wall_q1, wall_q3) = quartiles(&walls);
+    let wall_s = median(&scaled);
+    let (scaled_q1, scaled_q3) = quartiles(&scaled);
+    // Set-ups are spread over the whole run, so the run's slowdown scales them.
+    let slowdown = median(&chunks) / calib::REFERENCE_CHUNK_S;
+    let raw_setup_s = median(&setup_s);
     let (setup_q1, setup_q3) = quartiles(&setup_s);
     let (router_cycles, emit_bytes) = reference_counts;
     let end_to_end: Vec<(&str, &str, f64)> = END_TO_END
@@ -261,7 +278,7 @@ fn run() -> Result<(), BoxError> {
         .zip([
             wall_s,
             router_cycles as f64 / wall_s,
-            median(&setup_s),
+            raw_setup_s / slowdown,
             peak_rss,
             workloads::gap_error(&reference.document, args.seed)?,
             workloads::table1_error(&config)?,
@@ -271,7 +288,7 @@ fn run() -> Result<(), BoxError> {
 
     let mut spans_json = "[]".to_owned();
     let metrics: Vec<(&str, &str, f64)> = if args.trace {
-        let traced = workloads::traced_run(workload, &prepared, wall_s, out_dir)?;
+        let traced = workloads::traced_run(workload, &prepared, raw_wall_s, out_dir)?;
         attempted += traced.attempted;
         failed += traced.failed;
         spans_json = traced.spans_json;
@@ -305,16 +322,18 @@ fn run() -> Result<(), BoxError> {
         "{{\"workload\": \"{}\", \"seed\": {}, \"host_cpus\": {host_cpus}, \"commit\": \"{}\", \
          \"passes\": {}, \"setups\": {}, \"cells\": {cells}, \
          \"router_cycles\": {router_cycles}, \"emit_bytes\": {emit_bytes}, \
-         \"wall_s\": {{\"q1\": {wall_q1}, \"median\": {wall_s}, \"q3\": {wall_q3}}}, \
-         \"pass_s\": {walls:?}, \
-         \"setup_s\": {{\"q1\": {setup_q1}, \"median\": {}, \"q3\": {setup_q3}}}, \
+         \"host_slowdown\": {slowdown}, \"calib_chunks\": {}, \
+         \"raw_wall_s\": {{\"q1\": {wall_q1}, \"median\": {raw_wall_s}, \"q3\": {wall_q3}}}, \
+         \"scaled_wall_s\": {{\"q1\": {scaled_q1}, \"median\": {wall_s}, \"q3\": {scaled_q3}}}, \
+         \"pass_s\": {walls:?}, \"scaled_pass_s\": {scaled:?}, \
+         \"raw_setup_s\": {{\"q1\": {setup_q1}, \"median\": {raw_setup_s}, \"q3\": {setup_q3}}}, \
          \"end_to_end\": {}}}",
         workload.name(),
         args.seed,
         commit(),
         walls.len(),
         setup_s.len(),
-        median(&setup_s),
+        chunks.len(),
         json_metrics(&end_to_end),
     );
     let result = format!(
