@@ -1,10 +1,10 @@
-//! Times cold Table 1 gate-level characterization — scalar engine vs the
-//! 64-lane bit-parallel engine — per switch class, and writes the repo's
+//! Times cold Table 1 gate-level characterization — one lane vs 64 lanes
+//! of the bit-parallel engine — per switch class, and writes the repo's
 //! perf trajectory file `BENCH_characterize.json`.
 //!
-//! Both engines run the same total measured lane-cycle budget per occupancy
-//! state (the packed engine splits it across 64 lanes), so the wall-clock
-//! ratio is a like-for-like throughput comparison of the two simulators on
+//! Both runs use the same engine and the same total measured lane-cycle
+//! budget per occupancy state (the 64-lane run splits it across 64 lanes),
+//! so the wall-clock ratio is the throughput bought by bit-parallelism on
 //! identical workloads.  Every run here is cold: circuits are characterized
 //! directly, never through the model cache.
 //!
@@ -19,8 +19,8 @@
 //! * `--out PATH` — where to write the JSON (default
 //!   `BENCH_characterize.json` in the current directory, i.e. the repo root
 //!   when run via `cargo run`);
-//! * `--min-speedup X` — exit nonzero unless the total packed speedup is at
-//!   least `X` (used by the CI bench-smoke job).
+//! * `--min-speedup X` — exit nonzero unless the total 64-lane speedup over
+//!   one lane is at least `X` (used by the CI bench-smoke job).
 
 use std::time::Instant;
 
@@ -38,29 +38,29 @@ const ADDRESS_BITS: usize = 5;
 #[derive(Debug, Serialize)]
 struct ClassTiming {
     class: String,
-    scalar_ms: f64,
+    one_lane_ms: f64,
     packed_ms: f64,
     speedup: f64,
 }
 
 #[derive(Debug, Serialize)]
 struct BenchReport {
-    /// Characterization budget common to both engines.
+    /// Characterization budget common to both lane counts.
     warmup_cycles: u64,
     measure_cycles: u64,
     seed: u64,
-    scalar_lanes: u32,
+    one_lane_lanes: u32,
     packed_lanes: u32,
     quick: bool,
     host_cpus: usize,
     classes: Vec<ClassTiming>,
-    total_scalar_ms: f64,
+    total_one_lane_ms: f64,
     total_packed_ms: f64,
     total_speedup: f64,
     /// Context for readers of the trajectory: the measurement itself is
     /// single-threaded; on multi-core hosts the sweep layer additionally
     /// parallelizes across models, so the end-to-end cold-build target
-    /// there is >=10x over the old scalar path.
+    /// there is >=10x over a single lane.
     multi_core_target_speedup: f64,
     note: String,
 }
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         CharacterizationConfig::default()
     };
-    let scalar_config = base.with_lanes(1);
+    let one_lane_config = base.with_lanes(1);
     let packed_config = base.with_lanes(64);
 
     let classes = [
@@ -115,28 +115,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "{:<28} {:>12} {:>12} {:>9}",
-        "switch class", "scalar (ms)", "packed (ms)", "speedup"
+        "switch class", "1 lane (ms)", "64 lanes (ms)", "speedup"
     );
     let mut timings = Vec::new();
-    let mut total_scalar = 0.0;
+    let mut total_one_lane = 0.0;
     let mut total_packed = 0.0;
     for class in classes {
-        let scalar_ms = time_class(class, &scalar_config)?;
+        let one_lane_ms = time_class(class, &one_lane_config)?;
         let packed_ms = time_class(class, &packed_config)?;
-        let speedup = scalar_ms / packed_ms.max(1e-9);
-        println!("{class:<28} {scalar_ms:>12.2} {packed_ms:>12.2} {speedup:>8.1}x");
-        total_scalar += scalar_ms;
+        let speedup = one_lane_ms / packed_ms.max(1e-9);
+        println!("{class:<28} {one_lane_ms:>12.2} {packed_ms:>12.2} {speedup:>8.1}x");
+        total_one_lane += one_lane_ms;
         total_packed += packed_ms;
         timings.push(ClassTiming {
             class: class.to_string(),
-            scalar_ms,
+            one_lane_ms,
             packed_ms,
             speedup,
         });
     }
-    let total_speedup = total_scalar / total_packed.max(1e-9);
+    let total_speedup = total_one_lane / total_packed.max(1e-9);
     println!(
-        "{:<28} {total_scalar:>12.2} {total_packed:>12.2} {total_speedup:>8.1}x",
+        "{:<28} {total_one_lane:>12.2} {total_packed:>12.2} {total_speedup:>8.1}x",
         "TOTAL"
     );
 
@@ -144,16 +144,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         warmup_cycles: base.warmup_cycles,
         measure_cycles: base.measure_cycles,
         seed: base.seed,
-        scalar_lanes: 1,
+        one_lane_lanes: 1,
         packed_lanes: 64,
         quick,
         host_cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         classes: timings,
-        total_scalar_ms: total_scalar,
+        total_one_lane_ms: total_one_lane,
         total_packed_ms: total_packed,
         total_speedup,
         multi_core_target_speedup: 10.0,
-        note: "single-threaded engine comparison at an identical lane-cycle budget; \
+        note: "single-threaded 1-lane vs 64-lane comparison at an identical lane-cycle budget; \
                on multi-core hosts the sweep layer parallelizes cold builds across \
                models on top of this, targeting >=10x end-to-end"
             .to_string(),
@@ -167,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(min) = min_speedup {
         if total_speedup < min {
             return Err(format!(
-                "packed speedup {total_speedup:.2}x is below the required {min:.2}x"
+                "64-lane speedup {total_speedup:.2}x is below the required {min:.2}x"
             )
             .into());
         }

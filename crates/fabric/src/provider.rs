@@ -809,16 +809,6 @@ mod tests {
             CharacterizationConfig::quick(),
         );
         assert_ne!(quick_derived_spec(8).cache_key(), other_tech.cache_key());
-        // And the pass-pipeline mode: optimized and raw characterizations
-        // produce bit-identical models but must never alias in the cache.
-        let raw = ModelSpec::derived(
-            8,
-            Technology::tsmc180(),
-            CellLibrary::calibrated_018um(),
-            CharacterizationConfig::quick()
-                .with_pipeline(fabric_power_netlist::passes::PipelineMode::Raw),
-        );
-        assert_ne!(quick_derived_spec(8).cache_key(), raw.cache_key());
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! * [`cells`] / [`library`] — a minimal 0.18 µm standard-cell set with
 //!   calibrated switching energies;
 //! * [`netlist`] — the netlist graph and structural validation;
-//! * [`sim`] — cycle-driven logic simulation with per-toggle energy
-//!   accounting;
-//! * [`packed`] — 64-lane bit-parallel simulation: one `u64` per net, lane
-//!   toggles counted with popcounts, energies bit-identical to per-lane
-//!   scalar runs;
-//! * [`passes`] — energy-exact netlist optimization passes (constant
-//!   folding, dead-net pruning, structural hashing) plus levelization into a
-//!   precomputed evaluation schedule both simulators can execute directly;
+//! * [`passes`] — levelization: a validated netlist compiled into a flat,
+//!   level-ordered evaluation schedule;
+//! * [`packed`] — the characterization engine: 1–64-lane bit-parallel
+//!   simulation over that schedule, one `u64` per net, lane toggles counted
+//!   with popcounts, cones that never change skipped;
+//! * [`sim`] — the scalar reference oracle (one lane, a plain topological
+//!   walk) and the per-toggle energy tables both engines share; a packed
+//!   run's energies are bit-identical to the summed per-lane scalar runs;
 //! * [`circuits`] — generators for the four node-switch circuits the paper
 //!   characterizes (crossbar crosspoint, Banyan 2×2 binary switch, Batcher
 //!   2×2 sorting switch, N-input MUX);
@@ -70,9 +70,7 @@ pub use library::{CellLibrary, CellParameters};
 pub use lut::{InputVector, LutSource, SwitchEnergyLut};
 pub use netlist::{CellId, NetId, Netlist, NetlistError};
 pub use packed::PackedSimulator;
-pub use passes::{
-    EvalSchedule, NetFate, OptimizedNetlist, PassPipeline, PipelineMode, PipelineReport,
-};
+pub use passes::EvalSchedule;
 pub use sim::{ActivityReport, EnergyBreakdown, EnergyTables, Simulator};
 
 #[cfg(test)]

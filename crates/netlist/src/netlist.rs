@@ -485,7 +485,7 @@ impl Netlist {
     /// [`Netlist::validate`] plus the requirement that *every* net has a
     /// driver, even nets nothing reads.  Circuit generators run this under
     /// `debug_assertions`: a generated circuit must not leave floating nets
-    /// behind (the optimization passes would silently prune them).
+    /// behind.
     ///
     /// # Errors
     ///

@@ -7,10 +7,17 @@
 //! per-lane words, and toggle activity is accumulated per net with
 //! `(prev ^ new).count_ones()`.
 //!
+//! The simulator executes the netlist's [`EvalSchedule`]: drive lists and
+//! levelled combinational cells, swept in level order.  After the first
+//! step it evaluates only cells that have ever seen an input change, so
+//! cones that go quiet after warm-up cost nothing.  Nets keep their ids, so
+//! toggles are counted straight into the netlist's own net-id space.
+//!
 //! Energy accounting goes through the same [`EnergyTables`] as the scalar
-//! [`crate::sim::Simulator`]: integer per-net toggle counts are converted to
-//! energies in one deterministic pass, so a packed run and the sum of the
-//! equivalent per-lane scalar runs produce **bit-identical** energy numbers.
+//! reference [`crate::sim::Simulator`]: integer per-net toggle counts are
+//! converted to energies in one deterministic pass, so a packed run and the
+//! sum of the equivalent per-lane scalar runs produce **bit-identical**
+//! energy numbers.
 //!
 //! Lanes are numbered from bit 0: lane `L` of net `n` is
 //! `(word(n) >> L) & 1`. A *lane-cycle* is one lane advancing one clock
@@ -20,8 +27,8 @@
 //! of the same number of (scalar) cycles.
 
 use crate::library::CellLibrary;
-use crate::netlist::{CellId, Driver, Netlist, NetlistError};
-use crate::passes::{NetFate, OptimizedNetlist};
+use crate::netlist::{NetId, Netlist, NetlistError};
+use crate::passes::EvalSchedule;
 use crate::sim::{ActivityReport, EnergyTables};
 
 /// Bit-parallel simulator holding one `u64` of lane values per net.
@@ -52,39 +59,37 @@ use crate::sim::{ActivityReport, EnergyTables};
 #[derive(Debug, Clone)]
 pub struct PackedSimulator<'a> {
     netlist: &'a Netlist,
-    /// Combinational evaluation order (walk mode; empty in scheduled mode).
-    order: Vec<CellId>,
-    /// Current lane values of every net, one bit per lane (nets of the
-    /// optimized netlist when running in scheduled mode).
-    net_words: Vec<u64>,
-    /// Stored per-lane state of sequential cells: indexed by cell id in walk
-    /// mode, by schedule state slot in scheduled mode.
+    schedule: EvalSchedule,
+    nets: NetState,
+    /// Stored per-lane state of sequential cells, indexed by schedule state
+    /// slot.
     state: Vec<u64>,
+    /// Scheduled cells that have ever seen an input change (in any lane),
+    /// sorted by index (index order is level order).  The steady-state
+    /// sweep evaluates exactly these.
+    active_cells: Vec<u32>,
+    /// Whether the first full-evaluation step has run.  Not reset by
+    /// [`PackedSimulator::reset_counters`]: the circuit stays settled.
+    settled: bool,
     /// Number of active lanes (1..=64).
     lanes: u32,
     /// Mask selecting the active lanes: low `lanes` bits set.
     lane_mask: u64,
     /// Measured lane-cycles since the last counter reset.
     lane_cycles: u64,
-    /// Toggles observed per net (summed over counted lanes) since the last
-    /// counter reset, always in *original* net-id space.
-    net_toggles: Vec<u64>,
-    /// Per-net energy tables shared with the scalar engine, built over the
-    /// original netlist.
+    /// Per-net energy tables shared with the scalar engine.
     tables: EnergyTables,
-    /// Level-scheduled execution state when driving an [`OptimizedNetlist`].
-    scheduled: Option<ScheduledState<'a>>,
 }
 
-/// Execution state of the level-scheduled engine.
+/// Everything a net write touches: lane words, toggle counts and the
+/// activation sets.
 #[derive(Debug, Clone)]
-struct ScheduledState<'a> {
-    opt: &'a OptimizedNetlist,
-    /// Scheduled cells that have ever seen an input change (in any lane),
-    /// sorted by index (index order is level order).  The steady-state
-    /// sweep evaluates exactly these; cells of cones that never toggled
-    /// cost nothing.
-    active_cells: Vec<u32>,
+struct NetState {
+    /// Current lane values of every net, one bit per lane.
+    words: Vec<u64>,
+    /// Toggles observed per net (summed over counted lanes) since the last
+    /// counter reset.
+    toggles: Vec<u64>,
     /// Membership flags for `active_cells` / `newly`.
     is_active: Vec<bool>,
     /// Cells activated since the last merge into `active_cells`.  Non-empty
@@ -94,69 +99,65 @@ struct ScheduledState<'a> {
     /// flip needs no activation walk (set the first time the net flips,
     /// which activates every consumer).
     fanout_active: Vec<bool>,
-    /// Whether the pipeline left every net in place (1:1 alias map, nothing
-    /// folded) — enables the direct toggle-crediting fast path.
-    identity: bool,
-    /// Whether the first full-evaluation step has run.  Not reset by
-    /// [`PackedSimulator::reset_counters`]: the circuit stays settled.
-    settled: bool,
 }
 
-/// Writes `word` to optimized net `net`, crediting counted-lane toggles to
-/// every aliased original net and activating the net's consumer cells.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn scheduled_write(
-    opt: &OptimizedNetlist,
-    net_words: &mut [u64],
-    net_toggles: &mut [u64],
-    is_active: &mut [bool],
-    newly: &mut Vec<u32>,
-    fanout_active: &mut [bool],
-    identity: bool,
-    lane_mask: u64,
-    count_mask: u64,
-    net: u32,
-    word: u64,
-) {
-    let idx = net as usize;
-    let word = word & lane_mask;
-    let flipped = net_words[idx] ^ word;
-    if flipped == 0 {
-        return;
-    }
-    net_words[idx] = word;
-    let counted = u64::from((flipped & count_mask).count_ones());
-    if counted != 0 {
-        if identity {
-            net_toggles[idx] += counted;
-        } else {
-            for &original in opt.alias_targets_of(idx) {
-                net_toggles[original as usize] += counted;
+impl NetState {
+    /// Writes `word` to `net`, counting the flips in counted lanes and
+    /// activating the net's consumer cells on its first flip.
+    #[inline(always)]
+    fn write(
+        &mut self,
+        schedule: &EvalSchedule,
+        lane_mask: u64,
+        count_mask: u64,
+        net: u32,
+        word: u64,
+    ) {
+        let idx = net as usize;
+        let word = word & lane_mask;
+        let flipped = self.words[idx] ^ word;
+        if flipped == 0 {
+            return;
+        }
+        self.words[idx] = word;
+        self.toggles[idx] += u64::from((flipped & count_mask).count_ones());
+        if !self.fanout_active[idx] {
+            self.fanout_active[idx] = true;
+            for &cell in schedule.load_cells(idx) {
+                let c = cell as usize;
+                if !self.is_active[c] {
+                    self.is_active[c] = true;
+                    self.newly.push(cell);
+                }
             }
         }
     }
-    if !fanout_active[idx] {
-        fanout_active[idx] = true;
-        for &cell in opt.schedule().load_cells(idx) {
-            let c = cell as usize;
-            if !is_active[c] {
-                is_active[c] = true;
-                newly.push(cell);
-            }
+
+    /// Evaluates scheduled cell `cell` word-wide and writes its output.
+    #[inline(always)]
+    fn evaluate(&mut self, schedule: &EvalSchedule, lane_mask: u64, count_mask: u64, cell: usize) {
+        let cell = schedule.cells[cell];
+        let arity = cell.arity as usize;
+        let mut words = [0_u64; 3];
+        for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
+            *slot = self.words[net as usize];
         }
+        let previous = self.words[cell.output as usize];
+        let value = cell.kind.evaluate_word(&words[..arity], previous);
+        self.write(schedule, lane_mask, count_mask, cell.output, value);
     }
 }
 
 impl<'a> PackedSimulator<'a> {
-    /// Creates a packed simulator with `lanes` independent lanes.
+    /// Validates `netlist`, compiles its [`EvalSchedule`] and creates a
+    /// packed simulator with `lanes` independent lanes.
     ///
     /// All nets start at logic `0` in every lane, all flip-flops start
     /// cleared.
     ///
     /// # Errors
     ///
-    /// Propagates any [`NetlistError`] from [`Netlist::validate`].
+    /// Propagates any [`NetlistError`] from [`EvalSchedule::new`].
     ///
     /// # Panics
     ///
@@ -170,81 +171,25 @@ impl<'a> PackedSimulator<'a> {
             (1..=64).contains(&lanes),
             "lane count must be in 1..=64, got {lanes}"
         );
-        let order = netlist.validate()?;
+        let schedule = EvalSchedule::new(netlist)?;
         let lane_mask = if lanes == 64 { !0 } else { (1 << lanes) - 1 };
         Ok(Self {
             netlist,
-            order,
-            net_words: vec![0; netlist.net_count()],
-            state: vec![0; netlist.cell_count()],
-            lanes,
-            lane_mask,
-            lane_cycles: 0,
-            net_toggles: vec![0; netlist.net_count()],
-            tables: EnergyTables::new(netlist, library),
-            scheduled: None,
-        })
-    }
-
-    /// Creates a packed simulator that executes `optimized`'s level schedule
-    /// while reporting activity and energy in `netlist`'s (the original's)
-    /// net-id space — bit-identical to [`PackedSimulator::new`] over
-    /// `netlist` (see the [`crate::passes`] docs for the exactness
-    /// argument).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any structural [`NetlistError`] (undriven nets,
-    /// inconsistent load lists).  Acyclicity needs no re-check: `optimized`
-    /// carries a compiled level schedule, which only exists for acyclic
-    /// logic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not in `1..=64` or if `optimized` was not
-    /// produced from `netlist`.
-    pub fn with_passes(
-        netlist: &'a Netlist,
-        optimized: &'a OptimizedNetlist,
-        library: &CellLibrary,
-        lanes: u32,
-    ) -> Result<Self, NetlistError> {
-        assert!(
-            (1..=64).contains(&lanes),
-            "lane count must be in 1..=64, got {lanes}"
-        );
-        assert_eq!(
-            optimized.original_net_count(),
-            netlist.net_count(),
-            "optimized netlist was built from a different original"
-        );
-        assert_eq!(
-            optimized.primary_input_count(),
-            netlist.primary_inputs().len(),
-            "optimized netlist must preserve primary inputs"
-        );
-        netlist.check_structure()?;
-        let lane_mask = if lanes == 64 { !0 } else { (1 << lanes) - 1 };
-        let schedule = optimized.schedule();
-        Ok(Self {
-            netlist,
-            order: Vec::new(),
-            net_words: vec![0; optimized.net_count()],
-            state: vec![0; schedule.state_slots()],
-            lanes,
-            lane_mask,
-            lane_cycles: 0,
-            net_toggles: vec![0; netlist.net_count()],
-            tables: EnergyTables::new(netlist, library),
-            scheduled: Some(ScheduledState {
-                opt: optimized,
-                active_cells: Vec::new(),
+            nets: NetState {
+                words: vec![0; netlist.net_count()],
+                toggles: vec![0; netlist.net_count()],
                 is_active: vec![false; schedule.cell_count()],
                 newly: Vec::new(),
-                fanout_active: vec![false; optimized.net_count()],
-                identity: optimized.identity_aliases(),
-                settled: false,
-            }),
+                fanout_active: vec![false; netlist.net_count()],
+            },
+            state: vec![0; schedule.state_slots()],
+            active_cells: Vec::new(),
+            settled: false,
+            lanes,
+            lane_mask,
+            lane_cycles: 0,
+            tables: EnergyTables::new(netlist, library),
+            schedule,
         })
     }
 
@@ -289,6 +234,15 @@ impl<'a> PackedSimulator<'a> {
     /// measurement total that is not a multiple of the lane count is
     /// realised: a final partial step counts only the remainder lanes.
     ///
+    /// The first step evaluates every cell: the all-zero reset words are
+    /// not yet consistent with the cell functions.  Later steps sweep only
+    /// the *active* cells, in level order.  On the rare step that activates
+    /// a new cell (a quiet net's first toggle), the sweep stops and falls
+    /// back to one full level-ordered walk.  The walk is idempotent for
+    /// every cell already evaluated this step (unchanged inputs reproduce
+    /// the same word, so no toggle is double-counted) and evaluates the
+    /// newly activated cells in level order.
+    ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the number of primary inputs.
@@ -300,126 +254,26 @@ impl<'a> PackedSimulator<'a> {
             self.netlist.primary_inputs().len(),
             inputs.len()
         );
-        let count_mask = count_mask & self.lane_mask;
+        let lane_mask = self.lane_mask;
+        let count_mask = count_mask & lane_mask;
         self.lane_cycles += u64::from(count_mask.count_ones());
-        if self.scheduled.is_some() {
-            self.step_scheduled(inputs, count_mask);
-            return;
-        }
-
-        let netlist = self.netlist;
-
-        // 1. Drive primary inputs, constants and sequential outputs.
-        for (net_id, net) in netlist.nets() {
-            match net.driver() {
-                Some(Driver::PrimaryInput(pi)) => {
-                    self.write_net(net_id.index(), inputs[pi], count_mask);
-                }
-                Some(Driver::Constant(value)) => {
-                    let word = if value { self.lane_mask } else { 0 };
-                    self.write_net(net_id.index(), word, count_mask);
-                }
-                Some(Driver::Cell(cell_id)) if netlist.cell(cell_id).kind().is_sequential() => {
-                    let q = self.state[cell_id.index()];
-                    self.write_net(net_id.index(), q, count_mask);
-                }
-                _ => {}
-            }
-        }
-
-        // 2. Evaluate combinational logic in topological order, word-wide.
-        let mut scratch_inputs = [0_u64; 4];
-        for idx in 0..self.order.len() {
-            let cell_id = self.order[idx];
-            let cell = netlist.cell(cell_id);
-            let arity = cell.inputs().len();
-            for (slot, net) in scratch_inputs.iter_mut().zip(cell.inputs()) {
-                *slot = self.net_words[net.index()];
-            }
-            let previous = self.net_words[cell.output().index()];
-            let value = cell
-                .kind()
-                .evaluate_word(&scratch_inputs[..arity], previous);
-            self.write_net(cell.output().index(), value, count_mask);
-        }
-
-        // 3. Capture the next state of sequential cells (D sampled at the
-        //    end of the cycle, visible on Q at the start of the next cycle).
-        for (cell_id, cell) in netlist.cells() {
-            if cell.kind().is_sequential() {
-                self.state[cell_id.index()] = self.net_words[cell.inputs()[0].index()];
-            }
-        }
-    }
-
-    /// One cycle of the level-scheduled engine.
-    ///
-    /// The first step ever evaluates every cell unconditionally (the
-    /// all-zero reset words are not yet consistent with the cell functions)
-    /// and credits the one-shot toggles of nets folded to `true`, once per
-    /// counted lane.  Subsequent steps sweep only the *active* cells —
-    /// those that have ever seen an input change in any lane — in level
-    /// order; quiet cones are never visited.  On the rare step that
-    /// activates a new cell, the engine falls back to one full
-    /// level-ordered walk, which is idempotent for every cell already
-    /// evaluated this step (unchanged inputs reproduce the same word, so no
-    /// toggle is double-counted).
-    fn step_scheduled(&mut self, inputs: &[u64], count_mask: u64) {
-        let mut st = self.scheduled.take().expect("scheduled mode");
-        let opt = st.opt;
-        let schedule = opt.schedule();
-        let first = !st.settled;
-        if first {
-            st.settled = true;
-            let counted = u64::from(count_mask.count_ones());
-            if counted != 0 {
-                for &net in opt.one_shot_toggles() {
-                    self.net_toggles[net as usize] += counted;
-                }
-            }
-        }
+        let schedule = &self.schedule;
+        let nets = &mut self.nets;
+        let first = !self.settled;
+        self.settled = true;
 
         // 1. Drive primary inputs, constants and sequential outputs.
         for &(net, pi) in &schedule.input_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_words,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                self.lane_mask,
-                count_mask,
-                net,
-                inputs[pi as usize],
-            );
+            nets.write(schedule, lane_mask, count_mask, net, inputs[pi as usize]);
         }
         for &(net, value) in &schedule.constant_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_words,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                self.lane_mask,
-                count_mask,
-                net,
-                if value { self.lane_mask } else { 0 },
-            );
+            let word = if value { lane_mask } else { 0 };
+            nets.write(schedule, lane_mask, count_mask, net, word);
         }
         for &(net, slot) in &schedule.seq_drives {
-            scheduled_write(
-                opt,
-                &mut self.net_words,
-                &mut self.net_toggles,
-                &mut st.is_active,
-                &mut st.newly,
-                &mut st.fanout_active,
-                st.identity,
-                self.lane_mask,
+            nets.write(
+                schedule,
+                lane_mask,
                 count_mask,
                 net,
                 self.state[slot as usize],
@@ -427,91 +281,38 @@ impl<'a> PackedSimulator<'a> {
         }
 
         // 2. Evaluate combinational logic word-wide, in level order.
-        let mut full_walk = first || !st.newly.is_empty();
+        let mut full_walk = first || !nets.newly.is_empty();
         if !full_walk {
-            for i in 0..st.active_cells.len() {
-                let cell = schedule.cells[st.active_cells[i] as usize];
-                let arity = cell.arity as usize;
-                let mut words = [0_u64; 3];
-                for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
-                    *slot = self.net_words[net as usize];
-                }
-                let previous = self.net_words[cell.output as usize];
-                let value = cell.kind.evaluate_word(&words[..arity], previous);
-                scheduled_write(
-                    opt,
-                    &mut self.net_words,
-                    &mut self.net_toggles,
-                    &mut st.is_active,
-                    &mut st.newly,
-                    &mut st.fanout_active,
-                    st.identity,
-                    self.lane_mask,
-                    count_mask,
-                    cell.output,
-                    value,
-                );
+            for &cell in &self.active_cells {
+                nets.evaluate(schedule, lane_mask, count_mask, cell as usize);
                 // A quiet net toggled for the first time: its newly
                 // activated consumers sit at strictly higher levels than
                 // everything swept so far, so every evaluation up to here
-                // used correct inputs.  Stop and catch up with a full walk
-                // (idempotent for the already-evaluated prefix, and it
-                // evaluates the activated cells in correct level order).
-                if !st.newly.is_empty() {
+                // used correct inputs.
+                if !nets.newly.is_empty() {
+                    full_walk = true;
                     break;
                 }
             }
-            full_walk = !st.newly.is_empty();
         }
         if full_walk {
-            for ci in 0..schedule.cells.len() {
-                let cell = schedule.cells[ci];
-                let arity = cell.arity as usize;
-                let mut words = [0_u64; 3];
-                for (slot, &net) in words.iter_mut().zip(&cell.inputs[..arity]) {
-                    *slot = self.net_words[net as usize];
-                }
-                let previous = self.net_words[cell.output as usize];
-                let value = cell.kind.evaluate_word(&words[..arity], previous);
-                scheduled_write(
-                    opt,
-                    &mut self.net_words,
-                    &mut self.net_toggles,
-                    &mut st.is_active,
-                    &mut st.newly,
-                    &mut st.fanout_active,
-                    st.identity,
-                    self.lane_mask,
-                    count_mask,
-                    cell.output,
-                    value,
-                );
+            for cell in 0..schedule.cells.len() {
+                nets.evaluate(schedule, lane_mask, count_mask, cell);
             }
         }
-        if !st.newly.is_empty() {
-            st.active_cells.append(&mut st.newly);
-            st.active_cells.sort_unstable();
+        if !nets.newly.is_empty() {
+            self.active_cells.append(&mut nets.newly);
+            self.active_cells.sort_unstable();
         }
 
-        // 3. Capture the next state of sequential cells.
+        // 3. Capture the next state of sequential cells (D sampled at the
+        //    end of the cycle, visible on Q at the start of the next cycle).
         for &(slot, d) in &schedule.seq_captures {
-            self.state[slot as usize] = self.net_words[d as usize];
+            self.state[slot as usize] = nets.words[d as usize];
         }
-        self.scheduled = Some(st);
     }
 
-    fn write_net(&mut self, net_index: usize, word: u64, count_mask: u64) {
-        let word = word & self.lane_mask;
-        let flipped = self.net_words[net_index] ^ word;
-        if flipped == 0 {
-            return;
-        }
-        self.net_words[net_index] = word;
-        self.net_toggles[net_index] += u64::from((flipped & count_mask).count_ones());
-    }
-
-    /// Current lane words of the primary outputs, in declaration order
-    /// (always the *original* netlist's outputs, also in scheduled mode).
+    /// Current lane words of the primary outputs, in declaration order.
     #[must_use]
     pub fn output_words(&self) -> Vec<u64> {
         self.netlist
@@ -521,29 +322,17 @@ impl<'a> PackedSimulator<'a> {
             .collect()
     }
 
-    /// Current lane word of an arbitrary net of the original netlist.
+    /// Current lane word of an arbitrary net.
     #[must_use]
-    pub fn net_word(&self, net: crate::netlist::NetId) -> u64 {
-        match &self.scheduled {
-            None => self.net_words[net.index()],
-            Some(st) => match st.opt.fate(net) {
-                NetFate::Kept(kept) => self.net_words[kept.index()],
-                NetFate::Folded { settles_to } => {
-                    if st.settled && settles_to {
-                        self.lane_mask
-                    } else {
-                        0
-                    }
-                }
-            },
-        }
+    pub fn net_word(&self, net: NetId) -> u64 {
+        self.nets.words[net.index()]
     }
 
     /// Toggle counts per net (summed over counted lanes) since the last
     /// counter reset, indexed by net.
     #[must_use]
     pub fn net_toggle_counts(&self) -> &[u64] {
-        &self.net_toggles
+        &self.nets.toggles
     }
 
     /// Snapshot of the accumulated activity and energy.
@@ -554,35 +343,32 @@ impl<'a> PackedSimulator<'a> {
     #[must_use]
     pub fn report(&self) -> ActivityReport {
         self.tables
-            .report_from_counts(&self.net_toggles, self.lane_cycles)
+            .report_from_counts(&self.nets.toggles, self.lane_cycles)
     }
 
     /// Resets activity counters (but keeps the current logic state), so a
     /// warm-up phase can be excluded from measurements.
     pub fn reset_counters(&mut self) {
         self.lane_cycles = 0;
-        self.net_toggles.fill(0);
+        self.nets.toggles.fill(0);
     }
 
     /// Resets the simulator to its freshly-constructed state: all lane words
     /// and sequential state back to zero, counters cleared.
     ///
-    /// A reset simulator is observably identical to a newly constructed one
-    /// — the first step after a reset re-settles constants and re-credits
-    /// the pass pipeline's one-shot toggles, exactly like a fresh instance.
-    /// The scheduled engine's activation sets are deliberately *kept*:
-    /// activity skipping is monotone-safe (evaluating an already-active cell
+    /// A reset simulator is observably identical to a newly constructed
+    /// one: the first step after a reset re-evaluates every cell, exactly
+    /// like a fresh instance.  The activation sets are deliberately *kept*.
+    /// Activity skipping is monotone-safe (evaluating an already-active cell
     /// whose inputs did not change reproduces its word and counts nothing),
     /// so a warm active set only affects speed, never results.  This makes
     /// one simulator reusable across independent measurements without paying
     /// construction cost per run.
     pub fn reset(&mut self) {
-        self.net_words.fill(0);
+        self.nets.words.fill(0);
         self.state.fill(0);
         self.reset_counters();
-        if let Some(st) = self.scheduled.as_mut() {
-            st.settled = false;
-        }
+        self.settled = false;
     }
 }
 
@@ -781,57 +567,5 @@ mod tests {
         // State preserved: same vector again causes no toggles.
         sim.step(&[!0_u64, 0]);
         assert_eq!(sim.report().toggles, 0);
-    }
-
-    /// Same mixed circuit as the scalar scheduled-engine tests: a
-    /// folded-low cone, a folded-high primary output, duplicate gates and a
-    /// flip-flop.
-    fn mixed_netlist() -> Netlist {
-        let mut n = Netlist::new("mix");
-        let tie1 = n.add_constant("tie1", true);
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let inv = n.add_net("inv");
-        let high = n.add_net("high");
-        let x1 = n.add_net("x1");
-        let x2 = n.add_net("x2");
-        let y = n.add_net("y");
-        let q = n.add_net("q");
-        n.add_cell("u_inv", CellKind::Inv, &[tie1], inv).unwrap();
-        n.add_cell("u_buf", CellKind::Buf, &[tie1], high).unwrap();
-        n.add_cell("u1", CellKind::And2, &[a, b], x1).unwrap();
-        n.add_cell("u2", CellKind::And2, &[a, b], x2).unwrap();
-        n.add_cell("u_or", CellKind::Or2, &[x1, inv], y).unwrap();
-        n.add_cell("u_ff", CellKind::Dff, &[x2], q).unwrap();
-        n.mark_output(y).unwrap();
-        n.mark_output(q).unwrap();
-        n.mark_output(high).unwrap();
-        n
-    }
-
-    #[test]
-    fn scheduled_packed_matches_walk_packed_bit_exactly() {
-        let n = mixed_netlist();
-        let lib = CellLibrary::default();
-        let optimized = crate::passes::PassPipeline::standard().run(&n).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(0xDAC_2002);
-        let lanes = 11_u32;
-        let mut raw = PackedSimulator::new(&n, &lib, lanes).unwrap();
-        let mut opt = PackedSimulator::with_passes(&n, &optimized, &lib, lanes).unwrap();
-        for cycle in 0..24 {
-            let vector = [rng.gen::<u64>(), rng.gen::<u64>()];
-            // Exercise a masked step mid-run, including as the first step.
-            let mask = if cycle % 5 == 0 {
-                0b101
-            } else {
-                raw.lane_mask()
-            };
-            raw.step_masked(&vector, mask);
-            opt.step_masked(&vector, mask);
-            assert_eq!(raw.output_words(), opt.output_words());
-        }
-        assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        assert_eq!(raw.lane_cycles(), opt.lane_cycles());
-        assert_eq!(raw.report(), opt.report());
     }
 }

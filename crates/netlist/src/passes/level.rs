@@ -12,8 +12,10 @@
 //! the buses of idle ports in the generated switch circuits go quiet right
 //! after warm-up).
 
+use fabric_power_obs as obs;
+
 use crate::cells::CellKind;
-use crate::netlist::{Driver, Netlist, NetlistError};
+use crate::netlist::{CellId, Driver, Netlist, NetlistError};
 
 /// One cell of the flat evaluation array: everything the simulator needs,
 /// with pre-resolved net indices.
@@ -56,14 +58,23 @@ pub struct EvalSchedule {
 }
 
 impl EvalSchedule {
-    /// Compiles the schedule for `netlist` from its `cell_levels` — the
-    /// result of [`Netlist::combinational_levels`], passed in so pipeline
-    /// callers can share one levelization across validation, the rewrite
-    /// passes and this compilation.
-    pub(crate) fn compile(
-        netlist: &Netlist,
-        cell_levels: &[Option<u32>],
-    ) -> Result<Self, NetlistError> {
+    /// Validates `netlist` and compiles its schedule.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Netlist::validate`] raises: undriven read nets,
+    /// inconsistent load lists and combinational loops.
+    pub fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
+        netlist.check_structure()?;
+        let schedule = Self::compile(netlist, &netlist.combinational_levels()?);
+        obs::metrics::gauge(obs::metrics::names::SCHEDULE_LEVELS)
+            .set(schedule.level_count() as i64);
+        Ok(schedule)
+    }
+
+    /// Compiles the schedule for `netlist` from its `cell_levels`, the
+    /// result of [`Netlist::combinational_levels`].
+    fn compile(netlist: &Netlist, cell_levels: &[Option<u32>]) -> Self {
         let level_count = cell_levels
             .iter()
             .flatten()
@@ -83,7 +94,7 @@ impl EvalSchedule {
         for bucket in &buckets {
             let start = cells.len() as u32;
             for &idx in bucket {
-                let cell = netlist.cell(crate::netlist::CellId(idx));
+                let cell = netlist.cell(CellId(idx));
                 let mut inputs = [u32::MAX; 3];
                 for (slot, net) in inputs.iter_mut().zip(cell.inputs()) {
                     *slot = net.index() as u32;
@@ -132,7 +143,7 @@ impl EvalSchedule {
         let mut load_counts = vec![0_u32; netlist.net_count()];
         for (idx, level) in cell_levels.iter().enumerate() {
             if level.is_some() {
-                for net in netlist.cell(crate::netlist::CellId(idx)).inputs() {
+                for net in netlist.cell(CellId(idx)).inputs() {
                     load_counts[net.index()] += 1;
                 }
             }
@@ -147,7 +158,7 @@ impl EvalSchedule {
         let mut cursor: Vec<u32> = net_load_index.iter().map(|&(start, _)| start).collect();
         for (idx, level) in cell_levels.iter().enumerate() {
             if level.is_some() {
-                for net in netlist.cell(crate::netlist::CellId(idx)).inputs() {
+                for net in netlist.cell(CellId(idx)).inputs() {
                     let slot = &mut cursor[net.index()];
                     load_cells[*slot as usize] = sched_index[idx];
                     *slot += 1;
@@ -155,7 +166,7 @@ impl EvalSchedule {
             }
         }
 
-        Ok(Self {
+        Self {
             input_drives,
             constant_drives,
             seq_drives,
@@ -165,7 +176,7 @@ impl EvalSchedule {
             net_load_index,
             load_cells,
             state_slots,
-        })
+        }
     }
 
     /// Number of combinational levels.
@@ -186,8 +197,7 @@ impl EvalSchedule {
         self.state_slots
     }
 
-    /// The scheduled cells to queue for re-evaluation when `net` (an
-    /// optimized-netlist index) toggles.
+    /// The scheduled cells to queue for re-evaluation when `net` toggles.
     #[inline]
     pub(crate) fn load_cells(&self, net: usize) -> &[u32] {
         let (start, end) = self.net_load_index[net];
@@ -198,7 +208,9 @@ impl EvalSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::CellKind;
+    use crate::circuits::{
+        banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
+    };
 
     #[test]
     fn schedule_levels_and_drives_are_complete() {
@@ -215,7 +227,7 @@ mod tests {
         n.add_cell("u_ff", CellKind::Dff, &[gated], q).unwrap();
         n.mark_output(q).unwrap();
 
-        let schedule = EvalSchedule::compile(&n, &n.combinational_levels().unwrap()).unwrap();
+        let schedule = EvalSchedule::new(&n).unwrap();
         assert_eq!(schedule.level_count(), 2);
         assert_eq!(schedule.cell_count(), 2);
         assert_eq!(schedule.state_slots(), 1);
@@ -238,10 +250,31 @@ mod tests {
         let y = n.add_net("y");
         n.add_cell("u1", CellKind::Inv, &[y], x).unwrap();
         n.add_cell("u2", CellKind::Inv, &[x], y).unwrap();
-        // The levelization a compile consumes is where the cycle surfaces.
         assert!(matches!(
-            n.combinational_levels(),
+            EvalSchedule::new(&n),
             Err(NetlistError::CombinationalLoop { .. })
         ));
+    }
+
+    #[test]
+    fn schedule_covers_every_generated_class() {
+        let circuits = [
+            crossbar_crosspoint(8).unwrap(),
+            banyan_binary_switch(8).unwrap(),
+            batcher_sorting_switch(8, 4).unwrap(),
+            n_input_mux(8, 8).unwrap(),
+        ];
+        for circuit in &circuits {
+            let netlist = &circuit.netlist;
+            let schedule = EvalSchedule::new(netlist).unwrap();
+            assert!(schedule.level_count() > 0);
+            // Every cell is scheduled exactly once: combinational cells in
+            // the level array, sequential ones as state slots.
+            assert_eq!(
+                schedule.cell_count() + schedule.state_slots(),
+                netlist.cell_count()
+            );
+            assert_eq!(schedule.input_drives.len(), netlist.primary_inputs().len());
+        }
     }
 }

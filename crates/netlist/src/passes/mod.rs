@@ -1,613 +1,12 @@
-//! Energy-exact netlist optimization passes and the level schedule.
+//! The level schedule: a netlist compiled into the flat, level-ordered
+//! evaluation order the [`crate::packed::PackedSimulator`] executes.
 //!
-//! Characterization cost is dominated by walking every net and cell of a
-//! generated circuit on every simulated cycle.  This module shrinks that
-//! work twice over:
-//!
-//! 1. **Rewriting passes** ([`ConstantFold`], [`DeadNetPrune`],
-//!    [`StructuralHash`]) remove structure whose switching activity is
-//!    provably redundant — cells whose outputs can never toggle, nets nobody
-//!    reads, and duplicate `(kind, inputs)` cells with bit-identical
-//!    waveforms.
-//! 2. **Levelization** compiles the surviving netlist into an
-//!    [`EvalSchedule`]: a flat, topologically-levelled evaluation order that
-//!    the simulators execute directly, skipping whole levels whose inputs
-//!    did not change this cycle.
-//!
-//! # Energy exactness
-//!
-//! The passes never change the energy a simulation reports — not just
-//! approximately, *bit-exactly*.  The contract rests on three facts:
-//!
-//! * Energy is derived from integer per-net toggle counts through
-//!   [`crate::sim::EnergyTables`] built over the **original** netlist, and
-//!   counts are always maintained in original net-id space.  Pruned cells
-//!   still contribute their per-cycle clock and leakage energy, and pruned
-//!   nets still carry their (zero or one-shot) toggles.
-//! * Every original net has a [`NetFate`]: either it is represented by a
-//!   (possibly shared) net of the optimized netlist whose waveform is
-//!   identical — each toggle of the shared net is credited to every aliased
-//!   original net — or it was folded to a value that settles on the first
-//!   simulated step and never toggles again, in which case the single
-//!   false→true transition (if any) is credited once, on the first step.
-//! * Two cells merged by structural hashing have identical waveforms by
-//!   induction: same kind, same input nets and the same all-zero initial
-//!   state, which covers combinational, tri-state/hold *and* sequential
-//!   kinds.
-//!
-//! The pipeline choice is part of
-//! [`crate::characterize::CharacterizationConfig`] and therefore of the
-//! fabric model-cache key: optimized and raw characterizations never alias.
+//! Compilation never rewrites the netlist: every net keeps its id, so the
+//! simulator counts toggles directly in the original net-id space and the
+//! energy it reports is the energy of the generated circuit, cell for cell.
+//! See [`EvalSchedule`] for what the schedule holds and how the simulator
+//! uses it to skip cones that never change.
 
-use serde::{Deserialize, Serialize};
-
-use fabric_power_obs as obs;
-
-use crate::netlist::{CellId, Driver, Net, NetId, Netlist, NetlistError};
-
-mod cse;
-mod dce;
-mod fold;
 mod level;
 
-pub use cse::StructuralHash;
-pub use dce::DeadNetPrune;
-pub use fold::ConstantFold;
 pub use level::{EvalSchedule, ScheduledCell};
-
-/// Obs target for pass-pipeline spans and events.
-const TARGET: &str = "netlist.passes";
-
-/// Whether characterization simulates the raw generated netlist or the
-/// optimized, level-scheduled one.
-///
-/// Both produce bit-identical energies (see the module docs); `Optimized` is
-/// simply faster and is the default.  The choice is part of the model-cache
-/// key, so cached models derived from either mode never alias.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum PipelineMode {
-    /// Simulate the generated netlist as-is with the per-cycle full walk.
-    Raw,
-    /// Run [`PassPipeline::standard`] and simulate from the level schedule.
-    #[default]
-    Optimized,
-}
-
-/// What became of one original net after the pass pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetFate {
-    /// The net is represented by this net of the optimized netlist (several
-    /// originals may share one representative after structural hashing).
-    Kept(NetId),
-    /// The net was removed: its value settles to `settles_to` on the first
-    /// simulated step and never toggles afterwards.
-    Folded {
-        /// The value the net settles to (a `true` settle is one toggle from
-        /// the all-zero reset state; `false` is none).
-        settles_to: bool,
-    },
-}
-
-/// Cell- and net-count bookkeeping for one pass of a pipeline run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PassStats {
-    /// Pass name (`constant-fold`, `dead-net-prune`, `structural-hash`,
-    /// `levelize`).
-    pub pass: String,
-    /// Cells removed by this pass.
-    pub cells_removed: usize,
-    /// Nets removed by this pass.
-    pub nets_removed: usize,
-    /// Cells remaining after this pass.
-    pub cells_after: usize,
-    /// Nets remaining after this pass.
-    pub nets_after: usize,
-}
-
-/// Summary of a full [`PassPipeline::run`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineReport {
-    /// Cells in the original netlist.
-    pub original_cells: usize,
-    /// Nets in the original netlist.
-    pub original_nets: usize,
-    /// Cells in the optimized netlist.
-    pub final_cells: usize,
-    /// Nets in the optimized netlist.
-    pub final_nets: usize,
-    /// Combinational levels of the evaluation schedule.
-    pub levels: usize,
-    /// Per-pass bookkeeping, in execution order.
-    pub passes: Vec<PassStats>,
-}
-
-/// A netlist rewriting pass.
-///
-/// Passes transform the working netlist inside a [`PassCircuit`], recording
-/// for every net of the incoming netlist what became of it; the circuit
-/// composes those local fates into original-net-space across the pipeline.
-pub trait Pass {
-    /// Stable name used in spans, metrics and [`PassStats`].
-    fn name(&self) -> &'static str;
-
-    /// Rewrites the circuit in place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] if the working netlist is structurally
-    /// broken (a pass bug, not a user error — pipeline inputs are validated).
-    fn run(&self, circuit: &mut PassCircuit<'_>) -> Result<(), NetlistError>;
-}
-
-/// The working state threaded through a pass pipeline: the current netlist
-/// plus the fate of every *original* net in it.
-///
-/// Copy-on-write: the circuit starts as a borrow of the original netlist
-/// and materializes an owned rewrite only when a pass actually changes
-/// something (every pass returns early on a no-op).  Generated switch
-/// circuits are usually already minimal, so the common pipeline run never
-/// clones the netlist at all.
-#[derive(Debug, Clone)]
-pub struct PassCircuit<'a> {
-    original: &'a Netlist,
-    /// The most recent rewrite, if any pass changed the netlist.
-    rewritten: Option<Netlist>,
-    /// Fate of each original net in the *current* netlist's id space.
-    fates: Vec<NetFate>,
-    /// Cached combinational levels of the current netlist; computing them
-    /// (Kahn's algorithm) dominates pipeline overhead, so every pass shares
-    /// one computation until a rewrite invalidates it.
-    levels: Option<Vec<Option<u32>>>,
-    /// Cached `(level, id)`-sorted combinational order, derived from
-    /// `levels` on demand and invalidated together with it.
-    order: Option<Vec<CellId>>,
-}
-
-impl<'a> PassCircuit<'a> {
-    fn new(original: &'a Netlist) -> Self {
-        Self {
-            original,
-            rewritten: None,
-            fates: (0..original.net_count())
-                .map(|i| NetFate::Kept(NetId(i)))
-                .collect(),
-            levels: None,
-            order: None,
-        }
-    }
-
-    /// The current (most recently rewritten) netlist.
-    #[must_use]
-    pub fn netlist(&self) -> &Netlist {
-        self.rewritten.as_ref().unwrap_or(self.original)
-    }
-
-    /// Computes (or reuses) the combinational levels of the current netlist.
-    fn ensure_levels(&mut self) -> Result<(), NetlistError> {
-        if self.levels.is_none() {
-            self.levels = Some(self.netlist().combinational_levels()?);
-        }
-        Ok(())
-    }
-
-    /// The current netlist together with its cached combinational order —
-    /// one borrow, so passes can walk the order while reading the netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalLoop`] if the combinational
-    /// logic contains a cycle.
-    pub(crate) fn ordered(&mut self) -> Result<(&Netlist, &[CellId]), NetlistError> {
-        self.ensure_levels()?;
-        if self.order.is_none() {
-            let levels = self.levels.as_ref().expect("levels just ensured");
-            // Combinational cells are exactly those with a level assigned.
-            let mut order: Vec<CellId> = (0..levels.len())
-                .filter(|&i| levels[i].is_some())
-                .map(CellId)
-                .collect();
-            order.sort_by_key(|&c| (levels[c.index()], c.index()));
-            self.order = Some(order);
-        }
-        let netlist = self.rewritten.as_ref().unwrap_or(self.original);
-        Ok((netlist, self.order.as_deref().expect("order just built")))
-    }
-
-    /// Compiles the evaluation schedule of the current netlist, reusing the
-    /// cached levels.
-    fn compile_schedule(&mut self) -> Result<EvalSchedule, NetlistError> {
-        self.ensure_levels()?;
-        let netlist = self.rewritten.as_ref().unwrap_or(self.original);
-        EvalSchedule::compile(netlist, self.levels.as_ref().expect("levels just ensured"))
-    }
-
-    /// Replaces the working netlist with `rewritten`.  `local[i]` is the
-    /// fate of net `i` of the *previous* working netlist inside `rewritten`;
-    /// the original-space fates are composed through it.
-    pub(crate) fn apply(&mut self, rewritten: Netlist, local: Vec<NetFate>) {
-        debug_assert_eq!(local.len(), self.netlist().net_count());
-        for fate in &mut self.fates {
-            if let NetFate::Kept(current) = *fate {
-                *fate = local[current.index()];
-            }
-        }
-        self.rewritten = Some(rewritten);
-        self.levels = None;
-        self.order = None;
-    }
-}
-
-/// Re-adds one net of a source netlist into `target`, preserving its flavour
-/// (primary input, constant or plain net).  Cell drivers are reconnected
-/// when the cells are re-added.
-pub(crate) fn readd_net(target: &mut Netlist, net: &Net) -> NetId {
-    match net.driver() {
-        Some(Driver::PrimaryInput(_)) => target.add_input(net.name()),
-        Some(Driver::Constant(value)) => target.add_constant(net.name(), value),
-        _ => target.add_net(net.name()),
-    }
-}
-
-/// An ordered sequence of rewriting passes plus the final levelization step.
-pub struct PassPipeline {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl std::fmt::Debug for PassPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassPipeline")
-            .field(
-                "passes",
-                &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-impl PassPipeline {
-    /// The standard pipeline: constant folding, dead-net pruning and
-    /// structural hashing, followed by the (always-run) levelization.
-    #[must_use]
-    pub fn standard() -> Self {
-        Self {
-            passes: vec![
-                Box::new(ConstantFold),
-                Box::new(DeadNetPrune),
-                Box::new(StructuralHash),
-            ],
-        }
-    }
-
-    /// An empty rewrite sequence: levelization only.  Useful to isolate the
-    /// schedule's contribution from the structural passes'.
-    #[must_use]
-    pub fn levelize_only() -> Self {
-        Self { passes: Vec::new() }
-    }
-
-    /// Runs the pipeline over `original` and compiles the result into an
-    /// [`OptimizedNetlist`] ready for the simulators.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetlistError`] from validating `original` or from
-    /// levelizing the result (a combinational loop fails both).
-    pub fn run(&self, original: &Netlist) -> Result<OptimizedNetlist, NetlistError> {
-        // Structural validation up front; the acyclicity half of `validate`
-        // falls out of the first (cached) levelization a pass requests.
-        original.check_structure()?;
-        let _pipeline_span = obs::log::span(TARGET, "pipeline")
-            .field("cells", original.cell_count() as u64)
-            .field("nets", original.net_count() as u64);
-        let mut circuit = PassCircuit::new(original);
-        let mut passes = Vec::with_capacity(self.passes.len() + 1);
-        let mut total_cells_removed = 0_u64;
-        let mut total_nets_removed = 0_u64;
-        for pass in &self.passes {
-            let cells_before = circuit.netlist().cell_count();
-            let nets_before = circuit.netlist().net_count();
-            {
-                let _span =
-                    obs::log::span(TARGET, pass.name()).field("cells_before", cells_before as u64);
-                pass.run(&mut circuit)?;
-            }
-            let stats = PassStats {
-                pass: pass.name().to_string(),
-                cells_removed: cells_before - circuit.netlist().cell_count(),
-                nets_removed: nets_before - circuit.netlist().net_count(),
-                cells_after: circuit.netlist().cell_count(),
-                nets_after: circuit.netlist().net_count(),
-            };
-            total_cells_removed += stats.cells_removed as u64;
-            total_nets_removed += stats.nets_removed as u64;
-            passes.push(stats);
-        }
-        obs::metrics::counter(obs::metrics::names::PASSES_CELLS_REMOVED).add(total_cells_removed);
-        obs::metrics::counter(obs::metrics::names::PASSES_NETS_REMOVED).add(total_nets_removed);
-        let schedule = {
-            let _span = obs::log::span(TARGET, "levelize")
-                .field("cells", circuit.netlist().cell_count() as u64);
-            circuit.compile_schedule()?
-        };
-        passes.push(PassStats {
-            pass: "levelize".to_string(),
-            cells_removed: 0,
-            nets_removed: 0,
-            cells_after: circuit.netlist().cell_count(),
-            nets_after: circuit.netlist().net_count(),
-        });
-        obs::metrics::gauge(obs::metrics::names::PASSES_SCHEDULE_LEVELS)
-            .set(schedule.level_count() as i64);
-
-        let PassCircuit {
-            original: _,
-            rewritten,
-            fates,
-            ..
-        } = circuit;
-        let final_netlist = rewritten.as_ref().unwrap_or(original);
-
-        // Primary inputs must survive every pass in order: simulators index
-        // input vectors by original primary-input position.
-        debug_assert_eq!(
-            original.primary_inputs().len(),
-            final_netlist.primary_inputs().len(),
-            "passes must preserve primary inputs"
-        );
-        #[cfg(debug_assertions)]
-        for (position, &pi) in original.primary_inputs().iter().enumerate() {
-            match fates[pi.index()] {
-                NetFate::Kept(kept) => {
-                    debug_assert_eq!(final_netlist.primary_input_position(kept), Some(position));
-                }
-                NetFate::Folded { .. } => panic!("primary input folded away"),
-            }
-        }
-
-        // Flatten the alias map: for each optimized net, every original net
-        // whose toggles it carries; plus the one-shot first-step toggles of
-        // nets folded to `true`.  One flat array with per-net ranges
-        // (counting pass + prefix sums), keeping ascending original-net
-        // order within each range.
-        let opt_net_count = final_netlist.net_count();
-        let mut alias_counts = vec![0_u32; opt_net_count];
-        let mut one_shot_toggles = Vec::new();
-        for (original_net, fate) in fates.iter().enumerate() {
-            match *fate {
-                NetFate::Kept(kept) => alias_counts[kept.index()] += 1,
-                NetFate::Folded { settles_to: true } => {
-                    one_shot_toggles.push(original_net as u32);
-                }
-                NetFate::Folded { settles_to: false } => {}
-            }
-        }
-        let mut alias_index = Vec::with_capacity(opt_net_count);
-        let mut total = 0_u32;
-        for &count in &alias_counts {
-            alias_index.push((total, total + count));
-            total += count;
-        }
-        let mut alias_targets = vec![0_u32; total as usize];
-        let mut cursor: Vec<u32> = alias_index.iter().map(|&(start, _)| start).collect();
-        for (original_net, fate) in fates.iter().enumerate() {
-            if let NetFate::Kept(kept) = *fate {
-                let slot = &mut cursor[kept.index()];
-                alias_targets[*slot as usize] = original_net as u32;
-                *slot += 1;
-            }
-        }
-
-        let report = PipelineReport {
-            original_cells: original.cell_count(),
-            original_nets: original.net_count(),
-            final_cells: final_netlist.cell_count(),
-            final_nets: final_netlist.net_count(),
-            levels: schedule.level_count(),
-            passes,
-        };
-        Ok(OptimizedNetlist {
-            net_count: opt_net_count,
-            primary_input_count: final_netlist.primary_inputs().len(),
-            rewritten,
-            fates,
-            schedule,
-            alias_index,
-            alias_targets,
-            one_shot_toggles,
-            report,
-        })
-    }
-}
-
-/// The product of a [`PassPipeline::run`]: the optimized netlist, its
-/// evaluation schedule, and the bookkeeping that maps simulation activity
-/// back to original-netlist net ids (which is what keeps energy accounting
-/// bit-exact).
-#[derive(Debug, Clone)]
-pub struct OptimizedNetlist {
-    /// Net count of the optimized netlist (what the schedule indexes).
-    net_count: usize,
-    /// Primary-input count (identical to the original's by contract).
-    primary_input_count: usize,
-    /// The rewritten netlist, present only when a pass changed something.
-    /// `None` means the schedule indexes the original netlist directly —
-    /// the common case for the already-minimal generated circuits, which
-    /// then costs no netlist clone at all.
-    rewritten: Option<Netlist>,
-    /// Fate of every original net, indexed by original net id.
-    fates: Vec<NetFate>,
-    schedule: EvalSchedule,
-    /// Per optimized net: range into `alias_targets`.
-    alias_index: Vec<(u32, u32)>,
-    /// Original net ids credited when the owning optimized net toggles.
-    alias_targets: Vec<u32>,
-    /// Original nets folded to `true`: one toggle on the first step.
-    one_shot_toggles: Vec<u32>,
-    report: PipelineReport,
-}
-
-impl OptimizedNetlist {
-    /// Net count of the optimized netlist (the id space the schedule and
-    /// the simulators' value arrays use).
-    #[must_use]
-    pub fn net_count(&self) -> usize {
-        self.net_count
-    }
-
-    /// Number of primary inputs (passes preserve them, so this equals the
-    /// original's).
-    #[must_use]
-    pub fn primary_input_count(&self) -> usize {
-        self.primary_input_count
-    }
-
-    /// The rewritten netlist, if any pass changed the structure.  `None`
-    /// means the pipeline was a no-op rewrite-wise and the schedule indexes
-    /// the original netlist.
-    #[must_use]
-    pub fn rewritten(&self) -> Option<&Netlist> {
-        self.rewritten.as_ref()
-    }
-
-    /// Fate of every original net, indexed by original net id.
-    #[must_use]
-    pub fn fates(&self) -> &[NetFate] {
-        &self.fates
-    }
-
-    /// Fate of one original net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is out of range for the original netlist.
-    #[must_use]
-    pub fn fate(&self, net: NetId) -> NetFate {
-        self.fates[net.index()]
-    }
-
-    /// The compiled evaluation schedule over the optimized netlist.
-    #[must_use]
-    pub fn schedule(&self) -> &EvalSchedule {
-        &self.schedule
-    }
-
-    /// Net count of the netlist the pipeline ran on.
-    #[must_use]
-    pub fn original_net_count(&self) -> usize {
-        self.fates.len()
-    }
-
-    /// Per-pass and total reduction bookkeeping.
-    #[must_use]
-    pub fn report(&self) -> &PipelineReport {
-        &self.report
-    }
-
-    /// Original net ids credited when optimized net `net` toggles.
-    #[inline]
-    pub(crate) fn alias_targets_of(&self, net: usize) -> &[u32] {
-        let (start, end) = self.alias_index[net];
-        &self.alias_targets[start as usize..end as usize]
-    }
-
-    /// Original nets owed one toggle on the first simulated step (they fold
-    /// to `true` from the all-zero reset state).
-    #[inline]
-    pub(crate) fn one_shot_toggles(&self) -> &[u32] {
-        &self.one_shot_toggles
-    }
-
-    /// `true` when the pipeline changed nothing: every original net is kept
-    /// under its own id and nothing was folded, so the alias map is the
-    /// identity.  The simulators then credit toggles directly instead of
-    /// walking per-net alias lists.
-    #[inline]
-    pub(crate) fn identity_aliases(&self) -> bool {
-        self.one_shot_toggles.is_empty()
-            && self.net_count == self.fates.len()
-            && self
-                .fates
-                .iter()
-                .enumerate()
-                .all(|(i, fate)| matches!(fate, NetFate::Kept(kept) if kept.index() == i))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cells::CellKind;
-    use crate::circuits::{
-        banyan_binary_switch, batcher_sorting_switch, crossbar_crosspoint, n_input_mux,
-    };
-
-    #[test]
-    fn pipeline_mode_default_is_optimized_and_serializes() {
-        assert_eq!(PipelineMode::default(), PipelineMode::Optimized);
-        let json = serde_json::to_string(&PipelineMode::Raw).unwrap();
-        assert_eq!(json, "\"Raw\"");
-        let back: PipelineMode = serde_json::from_str("\"Optimized\"").unwrap();
-        assert_eq!(back, PipelineMode::Optimized);
-    }
-
-    #[test]
-    fn standard_pipeline_handles_every_generated_class() {
-        let circuits = [
-            crossbar_crosspoint(8).unwrap(),
-            banyan_binary_switch(8).unwrap(),
-            batcher_sorting_switch(8, 4).unwrap(),
-            n_input_mux(8, 8).unwrap(),
-        ];
-        for circuit in &circuits {
-            let optimized = PassPipeline::standard().run(&circuit.netlist).unwrap();
-            let report = optimized.report();
-            assert_eq!(report.original_cells, circuit.netlist.cell_count());
-            assert!(report.final_cells <= report.original_cells);
-            assert!(report.levels > 0);
-            assert_eq!(report.passes.len(), 4);
-            assert_eq!(report.passes[3].pass, "levelize");
-            // Primary inputs survive with their positions intact.
-            assert_eq!(
-                optimized.primary_input_count(),
-                circuit.netlist.primary_inputs().len()
-            );
-            // Every original net is accounted for exactly once: either it
-            // appears in an alias bucket or it was folded.
-            let aliased = optimized.alias_targets.len();
-            let folded = optimized
-                .fates()
-                .iter()
-                .filter(|f| matches!(f, NetFate::Folded { .. }))
-                .count();
-            assert_eq!(aliased + folded, circuit.netlist.net_count());
-        }
-    }
-
-    #[test]
-    fn pipeline_rejects_a_combinational_loop() {
-        let mut n = Netlist::new("loop");
-        let a = n.add_input("a");
-        let x = n.add_net("x");
-        let y = n.add_net("y");
-        n.add_cell("u1", CellKind::And2, &[a, y], x).unwrap();
-        n.add_cell("u2", CellKind::Buf, &[x], y).unwrap();
-        assert!(matches!(
-            PassPipeline::standard().run(&n),
-            Err(NetlistError::CombinationalLoop { .. })
-        ));
-    }
-
-    #[test]
-    fn levelize_only_pipeline_keeps_everything() {
-        let circuit = banyan_binary_switch(8).unwrap();
-        let optimized = PassPipeline::levelize_only().run(&circuit.netlist).unwrap();
-        assert_eq!(optimized.report().final_cells, circuit.netlist.cell_count());
-        // No pass changed anything, so no rewritten netlist was ever built.
-        assert!(optimized.rewritten().is_none());
-        assert!(optimized
-            .fates()
-            .iter()
-            .enumerate()
-            .all(|(i, f)| *f == NetFate::Kept(crate::netlist::NetId(i))));
-    }
-}

@@ -4,8 +4,9 @@
 //! 1. a derived-model sweep run cold (characterizing) and warm (served from
 //!    the cache) produces **byte-identical JSON**, and the warm run performs
 //!    **zero gate-level characterization**;
-//! 2. a truncated or corrupted cache file silently falls back to
-//!    re-derivation — same results, never an error — and heals the entry;
+//! 2. a truncated, corrupted or deeply nested cache file silently falls
+//!    back to re-derivation — same results, never an error — and heals the
+//!    entry;
 //! 3. the cache is keyed by the full spec: a different characterization
 //!    config or model source never hits another spec's entry.
 
@@ -116,6 +117,36 @@ fn corrupted_cache_files_fall_back_to_rederivation() {
 }
 
 #[test]
+fn deeply_nested_cache_entries_fall_back_to_rederivation() {
+    let dir = temp_cache_dir("deep-nesting");
+
+    let (reference_json, _) = run_with_cache(&dir, 1);
+    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect();
+    assert_eq!(entries.len(), 2, "one entry per fabric size");
+
+    // 20 000 nested arrays: once a parser stack overflow that aborted the
+    // process, now a rejected entry like any other corruption.
+    std::fs::write(&entries[0], "[".repeat(20_000)).expect("nest");
+    let closed = "[".repeat(20_000) + &"]".repeat(20_000);
+    std::fs::write(&entries[1], closed).expect("nest");
+
+    let (rebuilt_json, provider) = run_with_cache(&dir, 2);
+    assert_eq!(
+        reference_json, rebuilt_json,
+        "fallback re-derivation must reproduce the original results"
+    );
+    let stats = provider.stats();
+    assert_eq!(stats.disk_rejections, 2, "both nested entries rejected");
+    assert_eq!(stats.builds, 2, "both models rebuilt");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn cache_entries_are_keyed_by_the_full_spec() {
     let dir = temp_cache_dir("keying");
 
@@ -148,39 +179,10 @@ fn cache_entries_are_keyed_by_the_full_spec() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The pass-pipeline mode is part of the `ModelSpec` content address:
-/// optimized and raw characterizations of the same fabric must never alias a
-/// cache entry.
+/// Warm-cache derived sweeps stay byte-identical across thread counts, with
+/// zero characterization on every warm run.
 #[test]
-fn pipeline_mode_is_part_of_the_cache_key() {
-    use fabric_power_fabric::provider::ModelSpec;
-    use fabric_power_netlist::characterize::CharacterizationConfig;
-    use fabric_power_netlist::{CellLibrary, PipelineMode};
-    use fabric_power_tech::Technology;
-
-    let spec = |pipeline| {
-        ModelSpec::derived(
-            16,
-            Technology::tsmc180(),
-            CellLibrary::calibrated_018um(),
-            CharacterizationConfig::quick().with_pipeline(pipeline),
-        )
-    };
-    let optimized = spec(PipelineMode::Optimized);
-    let raw = spec(PipelineMode::Raw);
-    assert_ne!(optimized, raw);
-    assert_ne!(
-        optimized.cache_key(),
-        raw.cache_key(),
-        "optimized and raw specs must content-address separately"
-    );
-}
-
-/// Warm-cache derived sweeps (passes enabled — `CharacterizationConfig::quick`
-/// defaults to `PipelineMode::Optimized`) stay byte-identical across thread
-/// counts, with zero characterization on every warm run.
-#[test]
-fn warm_sweeps_with_passes_are_thread_invariant() {
+fn warm_derived_sweeps_are_thread_invariant() {
     let dir = temp_cache_dir("thread-invariance");
 
     let (cold_json, _) = run_with_cache(&dir, 2);

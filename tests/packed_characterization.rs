@@ -1,13 +1,13 @@
 //! Workspace-level guarantees of the bit-parallel characterization rollout:
 //!
 //! 1. the `lanes` field of `CharacterizationConfig` is part of the model
-//!    cache address: scalar (`lanes = 1`) and packed (`lanes = 64`) specs
-//!    have distinct cache keys;
-//! 2. a warm on-disk cache written by the scalar path is **not** silently
-//!    reused for a packed spec — a fresh provider re-derives it — while the
-//!    scalar spec itself still warm-hits;
-//! 3. derived sweeps (which characterize with the packed engine by default)
-//!    emit byte-identical JSON at 1 and 8 threads.
+//!    cache address: single-lane ("scalar", `lanes = 1`) and 64-lane
+//!    ("packed") specs have distinct cache keys;
+//! 2. a warm on-disk cache written for the single-lane spec is **not**
+//!    silently reused for a 64-lane spec — a fresh provider re-derives it —
+//!    while the single-lane spec itself still warm-hits;
+//! 3. derived sweeps (which characterize at 64 lanes by default) emit
+//!    byte-identical JSON at 1 and 8 threads.
 
 use std::path::PathBuf;
 use std::sync::Arc;

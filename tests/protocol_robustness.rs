@@ -1,5 +1,6 @@
 //! Property-based robustness tests for the fleet protocol's decoder: no
-//! input — truncated, garbage, or oversized — may panic it, and every
+//! input — truncated, garbage, deeply nested or oversized — may panic or
+//! overflow the stack, and every
 //! malformed frame must surface as a *typed* error
 //! ([`std::io::ErrorKind::InvalidData`]) the connection-level recovery
 //! paths know how to absorb.  Plus deterministic unit coverage for the
@@ -39,6 +40,29 @@ fn decode_is_total(bytes: &[u8]) -> Result<(), proptest::test_runner::TestCaseEr
             Ok(())
         }
     }
+}
+
+/// A newline-terminated frame of `depth` nested openers, each `[` or
+/// `{"k":` as picked by the bits of `seed`, optionally closed again.
+fn nested_frame(seed: u64, depth: usize, closed: bool) -> Vec<u8> {
+    let mut open = String::new();
+    let mut close = String::new();
+    for level in 0..depth {
+        if (seed >> (level % 64)) & 1 == 0 {
+            open.push('[');
+            close.insert(0, ']');
+        } else {
+            open.push_str(r#"{"k":"#);
+            close.insert(0, '}');
+        }
+    }
+    let mut frame = open;
+    if closed {
+        frame.push('0');
+        frame.push_str(&close);
+    }
+    frame.push('\n');
+    frame.into_bytes()
 }
 
 /// A round-trippable request with sampled payload fields.
@@ -118,6 +142,15 @@ proptest! {
     }
 
     #[test]
+    fn deeply_nested_frames_are_typed_errors_never_stack_overflows(
+        seed in any::<u64>(),
+        depth in 100_usize..20_000,
+        closed in any::<bool>(),
+    ) {
+        decode_is_total(&nested_frame(seed, depth, closed))?;
+    }
+
+    #[test]
     fn oversized_frames_are_rejected_not_buffered(
         cap in 8_usize..512,
         extra in 1_usize..512,
@@ -141,6 +174,22 @@ fn oversized_rejection_stops_reading_an_unbounded_stream() {
     let mut reader = BufReader::new(std::io::repeat(b'{').take(u64::MAX));
     let err = read_message_with_limit::<Response>(&mut reader, 4096)
         .expect_err("an endless unterminated frame must be refused");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+}
+
+#[test]
+fn twenty_thousand_open_brackets_are_refused_before_the_handshake() {
+    // A 20 KB frame of `[`, far inside the frame bound, once overflowed the
+    // recursive parser's stack and aborted the process.  Both directions of
+    // the protocol must refuse it with the ordinary typed error.
+    let mut frame = vec![b'['; 20_000];
+    frame.push(b'\n');
+    let err = read_message::<Request>(&mut BufReader::new(Cursor::new(&frame)))
+        .expect_err("a 20 000-deep request must not decode");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert!(err.to_string().contains("recursion limit"), "{err}");
+    let err = read_message::<Response>(&mut BufReader::new(Cursor::new(&frame)))
+        .expect_err("a 20 000-deep response must not decode");
     assert_eq!(err.kind(), ErrorKind::InvalidData);
 }
 
