@@ -1,13 +1,16 @@
-//! Property-based equivalence between the raw walk engines and the
-//! level-scheduled engines driving a [`PassPipeline`]-optimized netlist.
+//! Property-based equivalence between the level-scheduled
+//! [`PackedSimulator`] and the raw scalar walk of [`Simulator`] on netlists
+//! whose cells are declared out of dependency order.
 //!
-//! Over random DAG netlists seeded with constants, duplicate cells and dead
-//! nets — the raw material of every pass — the optimized engines must
-//! reproduce the raw engines' primary-output waveforms at every step and
-//! their *full original-net-space* toggle counts at the end (not just on
-//! surviving nets: folded and merged nets are part of the contract), and
-//! therefore bit-identical energy reports.  Covered for the scalar engine,
-//! the packed engine at random lane counts, and masked final steps.
+//! The schedule levelizes the netlist itself and the walk sorts it
+//! topologically on its own, so neither may lean on declaration order: a
+//! cell declared before the cells that drive its inputs must still be
+//! evaluated after them.  Over random DAGs declared in shuffled order, the
+//! packed engine at random lane counts must reproduce, lane by lane, the
+//! walks' primary outputs at every step and their summed per-net toggle
+//! counts and energy report at the end — also through the characterization
+//! protocol of warm-up, `reset_counters` and measurement, and again after a
+//! full `reset`.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -17,84 +20,134 @@ use fabric_power_netlist::cells::CellKind;
 use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::netlist::{NetId, Netlist};
 use fabric_power_netlist::packed::PackedSimulator;
-use fabric_power_netlist::passes::{NetFate, PassPipeline};
-use fabric_power_netlist::sim::Simulator;
+use fabric_power_netlist::sim::{ActivityReport, EnergyTables, Simulator};
 
-/// Builds a random acyclic netlist with `cells` cells, deliberately rich in
-/// pass fodder: two constant nets in the input pool (so cones fold), a ~25 %
-/// chance per cell of duplicating the previous cell's kind and inputs (so
-/// structural hashing merges), and a few nets nothing drives or reads (so
-/// dead-net pruning fires).  The first `CellKind::ALL.len()` cells cycle
-/// through every kind, covering combinational, hold and sequential logic.
-fn random_netlist(seed: u64, cells: usize) -> Netlist {
+/// Builds a random acyclic netlist with `cells` cells and declares them in
+/// shuffled order.  Cell `i` reads only primary inputs, the two constant
+/// nets and the outputs of cells `0..i`, so the graph is a DAG; a ~25 %
+/// chance per cell repeats the previous cell's kind and inputs, and a few
+/// nets are neither driven nor read.  The first `CellKind::ALL.len()` cells
+/// cycle through every kind.
+fn shuffled_netlist(seed: u64, cells: usize) -> Netlist {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut n = Netlist::new("passes-prop");
-    let mut nets: Vec<NetId> = (0..4).map(|i| n.add_input(format!("pi{i}"))).collect();
-    nets.push(n.add_constant("tie0", false));
-    nets.push(n.add_constant("tie1", true));
+    let mut n = Netlist::new("shuffled");
+    let mut pool: Vec<NetId> = (0..4).map(|i| n.add_input(format!("pi{i}"))).collect();
+    pool.push(n.add_constant("tie0", false));
+    pool.push(n.add_constant("tie1", true));
     for i in 0..3 {
-        // Dead: no driver, no loads.
         n.add_net(format!("debris{i}"));
     }
-    let mut previous: Option<(CellKind, Vec<NetId>)> = None;
-    for i in 0..cells {
-        let (kind, inputs) = match &previous {
-            Some((kind, inputs)) if rng.gen::<u64>() % 4 == 0 => (*kind, inputs.clone()),
+    let outs: Vec<NetId> = (0..cells).map(|i| n.add_net(format!("n{i}"))).collect();
+    let mut plan: Vec<(usize, CellKind, Vec<NetId>)> = Vec::with_capacity(cells);
+    for (i, &out) in outs.iter().enumerate() {
+        let (kind, inputs) = match plan.last() {
+            Some((_, kind, inputs)) if rng.gen::<u64>() % 4 == 0 => (*kind, inputs.clone()),
             _ => {
                 let kind = CellKind::ALL[i % CellKind::ALL.len()];
                 let inputs: Vec<NetId> = (0..kind.input_count())
-                    .map(|_| nets[rng.gen::<u64>() as usize % nets.len()])
+                    .map(|_| pool[rng.gen::<u64>() as usize % pool.len()])
                     .collect();
                 (kind, inputs)
             }
         };
-        let out = n.add_net(format!("n{i}"));
-        n.add_cell(format!("c{i}"), kind, &inputs, out).unwrap();
-        previous = Some((kind, inputs));
-        nets.push(out);
+        plan.push((i, kind, inputs));
+        pool.push(out);
     }
-    for net in nets.iter().rev().take(3) {
+    // Fisher–Yates: declaration order is independent of dependency order.
+    for i in (1..plan.len()).rev() {
+        plan.swap(i, rng.gen::<u64>() as usize % (i + 1));
+    }
+    for (i, kind, inputs) in plan {
+        n.add_cell(format!("c{i}"), kind, &inputs, outs[i]).unwrap();
+    }
+    for net in outs.iter().rev().take(3) {
         n.mark_output(*net).unwrap();
     }
     n
 }
 
+/// What one run leaves behind: the packed output words after every step,
+/// the per-net toggle counts, the counted lane-cycles and the report.
+#[derive(Debug, PartialEq)]
+struct Run {
+    outputs: Vec<Vec<u64>>,
+    counts: Vec<u64>,
+    lane_cycles: u64,
+    report: ActivityReport,
+}
+
+/// Runs `vectors` through `sim`, resetting its counters before step
+/// `measure_from`.
+fn packed_run(sim: &mut PackedSimulator<'_>, vectors: &[Vec<u64>], measure_from: usize) -> Run {
+    let mut outputs = Vec::with_capacity(vectors.len());
+    for (i, vector) in vectors.iter().enumerate() {
+        if i == measure_from {
+            sim.reset_counters();
+        }
+        sim.step(vector);
+        outputs.push(sim.output_words());
+    }
+    Run {
+        outputs,
+        counts: sim.net_toggle_counts().to_vec(),
+        lane_cycles: sim.lane_cycles(),
+        report: sim.report(),
+    }
+}
+
+/// The oracle for [`packed_run`]: one fresh scalar walk per lane, lane `L`
+/// replaying bit `L` of every vector, with counts summed over the lanes.
+fn walk_run(
+    netlist: &Netlist,
+    library: &CellLibrary,
+    lanes: u32,
+    vectors: &[Vec<u64>],
+    measure_from: usize,
+) -> Run {
+    let mut walks: Vec<Simulator<'_>> = (0..lanes)
+        .map(|_| Simulator::new(netlist, library).unwrap())
+        .collect();
+    let mut outputs = Vec::with_capacity(vectors.len());
+    for (i, vector) in vectors.iter().enumerate() {
+        let mut words = vec![0_u64; netlist.primary_outputs().len()];
+        for (lane, walk) in walks.iter_mut().enumerate() {
+            if i == measure_from {
+                walk.reset_counters();
+            }
+            let bits: Vec<bool> = vector.iter().map(|w| (w >> lane) & 1 == 1).collect();
+            walk.step(&bits);
+            for (word, value) in words.iter_mut().zip(walk.output_values()) {
+                *word |= u64::from(value) << lane;
+            }
+        }
+        outputs.push(words);
+    }
+    let mut counts = vec![0_u64; netlist.net_count()];
+    for walk in &walks {
+        for (acc, &count) in counts.iter_mut().zip(walk.net_toggle_counts()) {
+            *acc += count;
+        }
+    }
+    let measured = vectors.len() - measure_from.min(vectors.len());
+    let lane_cycles = u64::from(lanes) * measured as u64;
+    let report = EnergyTables::new(netlist, library).report_from_counts(&counts, lane_cycles);
+    Run {
+        outputs,
+        counts,
+        lane_cycles,
+        report,
+    }
+}
+
+fn random_vectors(seed: u64, steps: usize, inputs: usize) -> Vec<Vec<u64>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..steps)
+        .map(|_| (0..inputs).map(|_| rng.gen::<u64>()).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn scheduled_scalar_engine_matches_raw_walk_bit_exactly(
-        seed in any::<u64>(),
-        cells in 15_usize..40,
-        cycles in 1_usize..12,
-    ) {
-        let netlist = random_netlist(seed, cells);
-        let library = CellLibrary::calibrated_018um();
-        let optimized = PassPipeline::standard().run(&netlist).unwrap();
-
-        // Every original net is accounted for exactly once across the alias
-        // tables and the folded set.
-        let folded = optimized
-            .fates()
-            .iter()
-            .filter(|f| matches!(f, NetFate::Folded { .. }))
-            .count();
-        prop_assert!(folded <= netlist.net_count());
-
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0001);
-        let mut raw = Simulator::new(&netlist, &library).unwrap();
-        let mut opt = Simulator::with_passes(&netlist, &optimized, &library).unwrap();
-        for _ in 0..cycles {
-            let vector: Vec<bool> = (0..netlist.primary_inputs().len())
-                .map(|_| rng.gen::<bool>())
-                .collect();
-            raw.step(&vector);
-            opt.step(&vector);
-            prop_assert_eq!(raw.output_values(), opt.output_values());
-        }
-        prop_assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        prop_assert_eq!(raw.report(), opt.report());
-    }
 
     #[test]
     fn scheduled_packed_engine_matches_raw_walk_bit_exactly(
@@ -103,69 +156,40 @@ proptest! {
         cells in 15_usize..40,
         cycles in 1_usize..12,
     ) {
-        let netlist = random_netlist(seed, cells);
+        let netlist = shuffled_netlist(seed, cells);
         let library = CellLibrary::calibrated_018um();
-        let optimized = PassPipeline::standard().run(&netlist).unwrap();
-        let pi_count = netlist.primary_inputs().len();
-
-        // The final step is a partial one when more than one lane runs:
-        // only lanes below `counted_final` are measured in it.  This also
-        // exercises a masked *first* step when `cycles == 1`.
-        let counted_final = if lanes > 1 { (lanes / 2).max(1) } else { lanes };
-
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0002);
-        let mut raw = PackedSimulator::new(&netlist, &library, lanes).unwrap();
-        let mut opt =
-            PackedSimulator::with_passes(&netlist, &optimized, &library, lanes).unwrap();
-        for i in 0..cycles {
-            let vector: Vec<u64> = (0..pi_count).map(|_| rng.gen::<u64>()).collect();
-            if i + 1 == cycles && counted_final < lanes {
-                let mask = (1_u64 << counted_final) - 1;
-                raw.step_masked(&vector, mask);
-                opt.step_masked(&vector, mask);
-            } else {
-                raw.step(&vector);
-                opt.step(&vector);
-            }
-            prop_assert_eq!(raw.output_words(), opt.output_words());
-        }
-        prop_assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        prop_assert_eq!(raw.lane_cycles(), opt.lane_cycles());
-        prop_assert_eq!(raw.report(), opt.report());
+        let vectors =
+            random_vectors(seed ^ 0x5EED_0002, cycles, netlist.primary_inputs().len());
+        let mut packed = PackedSimulator::new(&netlist, &library, lanes).unwrap();
+        prop_assert_eq!(
+            packed_run(&mut packed, &vectors, 0),
+            walk_run(&netlist, &library, lanes, &vectors, 0)
+        );
     }
 
     #[test]
     fn warmup_reset_measure_protocol_is_preserved(
         seed in any::<u64>(),
+        lanes in 1_u32..=64,
         cells in 15_usize..32,
         warmup in 1_usize..6,
         measure in 1_usize..8,
     ) {
         // The characterization protocol: warm up, reset counters, measure.
-        // The one-shot settle toggles land in the warm-up of both engines
-        // and are zeroed together, so measured counts still agree.
-        let netlist = random_netlist(seed, cells);
+        // The first-step settle toggles land in the warm-up of both engines
+        // and are zeroed together, so measured counts still agree; a full
+        // `reset` returns the packed engine to fresh-construction behavior.
+        let netlist = shuffled_netlist(seed, cells);
         let library = CellLibrary::calibrated_018um();
-        let optimized = PassPipeline::standard().run(&netlist).unwrap();
-        let pi_count = netlist.primary_inputs().len();
-        let vectors: Vec<Vec<bool>> = {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5EED_0003);
-            (0..warmup + measure)
-                .map(|_| (0..pi_count).map(|_| rng.gen::<bool>()).collect())
-                .collect()
-        };
-        let mut raw = Simulator::new(&netlist, &library).unwrap();
-        let mut opt = Simulator::with_passes(&netlist, &optimized, &library).unwrap();
-        for sim in [&mut raw, &mut opt] {
-            for vector in &vectors[..warmup] {
-                sim.step(vector);
-            }
-            sim.reset_counters();
-            for vector in &vectors[warmup..] {
-                sim.step(vector);
-            }
-        }
-        prop_assert_eq!(raw.net_toggle_counts(), opt.net_toggle_counts());
-        prop_assert_eq!(raw.report(), opt.report());
+        let vectors = random_vectors(
+            seed ^ 0x5EED_0003,
+            warmup + measure,
+            netlist.primary_inputs().len(),
+        );
+        let mut packed = PackedSimulator::new(&netlist, &library, lanes).unwrap();
+        let first = packed_run(&mut packed, &vectors, warmup);
+        prop_assert_eq!(&first, &walk_run(&netlist, &library, lanes, &vectors, warmup));
+        packed.reset();
+        prop_assert_eq!(packed_run(&mut packed, &vectors, warmup), first);
     }
 }
