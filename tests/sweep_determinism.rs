@@ -133,25 +133,16 @@ fn every_builtin_scenario_expands_and_a_reduced_version_runs() {
     }
 }
 
-#[test]
-fn golden_single_router_sweep_bytes_are_pinned() {
-    // `tests/golden/single_router_sweep.json` was emitted by the
-    // pre-RouterNode-refactor simulator (`fabric-power sweep --scenario-file
-    // tests/golden/single_router_scenario.json`).  The refactored core —
-    // and the whole network layer above it — must keep reproducing those
-    // bytes exactly, at any thread count.
-    let scenario_json = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/single_router_scenario.json"
-    ))
-    .expect("read golden scenario");
+/// Sweeps `tests/golden/<scenario_file>` at 1 and 4 threads and demands the
+/// emitted document equal `tests/golden/<golden_file>` byte for byte.
+fn assert_golden_sweep(scenario_file: &str, golden_file: &str) {
+    let golden_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/");
+    let scenario_json =
+        std::fs::read_to_string(format!("{golden_dir}{scenario_file}")).expect("read scenario");
     let scenario: fabric_power_sweep::Scenario =
         serde_json::from_str(&scenario_json).expect("parse golden scenario");
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/single_router_sweep.json"
-    ))
-    .expect("read golden sweep document");
+    let golden =
+        std::fs::read_to_string(format!("{golden_dir}{golden_file}")).expect("read golden");
     for threads in [1, 4] {
         let points = SweepEngine::new()
             .with_threads(threads)
@@ -166,9 +157,28 @@ fn golden_single_router_sweep_bytes_are_pinned() {
         let emitted = document.to_json_string().expect("serialize") + "\n";
         assert_eq!(
             emitted, golden,
-            "threads {threads}: the single-router sweep bytes drifted from the golden pin"
+            "threads {threads}: the sweep bytes drifted from the golden pin {golden_file}"
         );
     }
+}
+
+#[test]
+fn golden_single_router_sweep_bytes_are_pinned() {
+    // `tests/golden/single_router_sweep.json` was emitted by the
+    // pre-RouterNode-refactor simulator (`fabric-power sweep --scenario-file
+    // tests/golden/single_router_scenario.json`).  The refactored core —
+    // and the whole network layer above it — must keep reproducing those
+    // bytes exactly, at any thread count.
+    assert_golden_sweep("single_router_scenario.json", "single_router_sweep.json");
+}
+
+#[test]
+fn golden_all_architecture_sweep_bytes_are_pinned() {
+    // `tests/golden/router_all_arch_sweep.json` was emitted by the
+    // HashMap-keyed router tick, before the dense one replaced it: all four
+    // fabrics at 4 and 32 ports, below (0.3) and above (0.9) saturation, so
+    // the 32-port, contended and saturated paths are pinned too.
+    assert_golden_sweep("router_all_arch_scenario.json", "router_all_arch_sweep.json");
 }
 
 #[test]
