@@ -182,6 +182,50 @@ impl FabricTopology {
         }
     }
 
+    /// Elements per stage in the dense slot numbering: `N²` crosspoints for
+    /// the crossbar, `N` MUXes for the fully-connected fabric and `N/2`
+    /// 2×2 switches per stage for the Banyan and the Batcher-Banyan.
+    fn elements_per_stage(&self) -> usize {
+        let n = self.ports;
+        match self.architecture {
+            Architecture::Crossbar => n * n,
+            Architecture::FullyConnected => n,
+            Architecture::Banyan | Architecture::BatcherBanyan => n / 2,
+        }
+    }
+
+    /// Size of the dense element numbering [`FabricTopology::element_slot`]
+    /// maps into: every slot is below this bound.
+    #[must_use]
+    pub fn element_slots(&self) -> usize {
+        self.stage_count() * self.elements_per_stage()
+    }
+
+    /// A dense, stage-major index of a node switch, unique per element and
+    /// below [`FabricTopology::element_slots`].  Per-element simulator state
+    /// lives in plain vectors indexed by it.
+    #[must_use]
+    pub fn element_slot(&self, element: ElementId) -> usize {
+        element.stage * self.elements_per_stage() + element.index
+    }
+
+    /// Size of the dense link numbering [`FabricTopology::link_slot`] maps
+    /// into.  Ids `0..ports` are the ingress segments of the input ports.
+    #[must_use]
+    pub fn link_slots(&self) -> usize {
+        self.ports + 2 * self.element_slots()
+    }
+
+    /// A dense index of the link leaving `element` on `output_port` (every
+    /// element has at most two outputs that carry distinct links), unique
+    /// per (element, output port) and disjoint from the ingress ids
+    /// `0..ports`.
+    #[must_use]
+    pub fn link_slot(&self, element: ElementId, output_port: usize) -> usize {
+        debug_assert!(output_port < 2, "node switches have at most two links");
+        self.ports + 2 * self.element_slot(element) + output_port
+    }
+
     /// Routes a packet from ingress port `input` to egress port `output`.
     ///
     /// # Panics
@@ -189,21 +233,25 @@ impl FabricTopology {
     /// Panics if `input` or `output` is outside `0..ports`.
     #[must_use]
     pub fn route(&self, input: usize, output: usize) -> RoutePath {
-        assert!(input < self.ports, "input port {input} out of range");
-        assert!(output < self.ports, "output port {output} out of range");
-        match self.architecture {
-            Architecture::Crossbar => self.route_crossbar(input, output),
-            Architecture::FullyConnected => self.route_fully_connected(input, output),
-            Architecture::Banyan => self.route_banyan(input, output, 0, true),
-            Architecture::BatcherBanyan => self.route_batcher_banyan(input, output),
-        }
+        let mut path = RoutePath::default();
+        self.route_into(input, output, &mut path);
+        path
     }
 
-    fn route_crossbar(&self, input: usize, output: usize) -> RoutePath {
+    /// Writes the route from `input` to `output` into `path`, reusing its
+    /// hop buffer: the allocation-free form of [`FabricTopology::route`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` or `output` is outside `0..ports`.
+    pub fn route_into(&self, input: usize, output: usize, path: &mut RoutePath) {
+        assert!(input < self.ports, "input port {input} out of range");
+        assert!(output < self.ports, "output port {output} out of range");
+        path.hops.clear();
+        path.wire_grids_before = 0;
         let n = self.ports;
-        RoutePath {
-            wire_grids_before: 0,
-            hops: vec![PathHop {
+        match self.architecture {
+            Architecture::Crossbar => path.hops.push(PathHop {
                 element: ElementId {
                     stage: 0,
                     index: input * n + output,
@@ -215,28 +263,26 @@ impl FabricTopology {
                 // The row bus toggles the inputs of all N crosspoints.
                 charged_inputs: n,
                 buffered_on_contention: false,
-            }],
-        }
-    }
-
-    fn route_fully_connected(&self, _input: usize, output: usize) -> RoutePath {
-        let n = self.ports;
-        RoutePath {
-            // The ingress bus is a broadcast net spanning the whole double row
-            // of MUXes, so every bit toggles its full ½·N² grids regardless of
-            // which output is addressed (Eq. 4).
-            wire_grids_before: wirelength::fully_connected_bit_wire_grids(n),
-            hops: vec![PathHop {
-                element: ElementId {
-                    stage: 0,
-                    index: output,
-                },
-                class: SwitchClass::Mux { inputs: n },
-                output_port: 0,
-                wire_grids_after: 0,
-                charged_inputs: 1,
-                buffered_on_contention: false,
-            }],
+            }),
+            Architecture::FullyConnected => {
+                // The ingress bus is a broadcast net spanning the whole double
+                // row of MUXes, so every bit toggles its full ½·N² grids
+                // regardless of which output is addressed (Eq. 4).
+                path.wire_grids_before = wirelength::fully_connected_bit_wire_grids(n);
+                path.hops.push(PathHop {
+                    element: ElementId {
+                        stage: 0,
+                        index: output,
+                    },
+                    class: SwitchClass::Mux { inputs: n },
+                    output_port: 0,
+                    wire_grids_after: 0,
+                    charged_inputs: 1,
+                    buffered_on_contention: false,
+                });
+            }
+            Architecture::Banyan => self.route_banyan(input, output, 0, true, &mut path.hops),
+            Architecture::BatcherBanyan => self.route_batcher_banyan(input, output, &mut path.hops),
         }
     }
 
@@ -249,9 +295,9 @@ impl FabricTopology {
         output: usize,
         stage_offset: usize,
         bufferable: bool,
-    ) -> RoutePath {
+        hops: &mut Vec<PathHop>,
+    ) {
         let n = self.banyan_stages() as usize;
-        let mut hops = Vec::with_capacity(n);
         let mut row = input;
         for s in 0..n {
             let bit = n - 1 - s;
@@ -277,15 +323,10 @@ impl FabricTopology {
             row, output,
             "butterfly self-routing must reach the destination"
         );
-        RoutePath {
-            wire_grids_before: 0,
-            hops,
-        }
     }
 
-    fn route_batcher_banyan(&self, input: usize, output: usize) -> RoutePath {
+    fn route_batcher_banyan(&self, input: usize, output: usize, hops: &mut Vec<PathHop>) {
         let n = self.banyan_stages() as usize;
-        let mut hops = Vec::new();
         // Batcher bitonic sorter: merge phase j (j = 0..n-1) contains
         // sub-stages i = 0..=j whose interconnects span 4·2^i grids (Eq. 6).
         // The sorter is contention-free, so the exact sorted position does
@@ -309,12 +350,7 @@ impl FabricTopology {
             }
         }
         // Followed by the Banyan network, now contention-free.
-        let banyan = self.route_banyan(input, output, stage, false);
-        hops.extend(banyan.hops);
-        RoutePath {
-            wire_grids_before: 0,
-            hops,
-        }
+        self.route_banyan(input, output, stage, false, hops);
     }
 }
 
@@ -443,6 +479,43 @@ mod tests {
         assert_eq!(batcher.element_count(), 15 * 16 + 80);
         let fully = FabricTopology::new(Architecture::FullyConnected, 32).unwrap();
         assert_eq!(fully.element_count(), 32);
+    }
+
+    #[test]
+    fn dense_slots_are_injective_and_route_into_matches_route() {
+        use std::collections::HashMap;
+        for architecture in Architecture::ALL {
+            for ports in [2, 4, 8, 16, 32, 64] {
+                let fabric = FabricTopology::new(architecture, ports).unwrap();
+                let mut element_of_slot = HashMap::new();
+                let mut link_of_id = HashMap::new();
+                let mut reused = RoutePath::default();
+                for input in 0..ports {
+                    for output in 0..ports {
+                        let path = fabric.route(input, output);
+                        fabric.route_into(input, output, &mut reused);
+                        assert_eq!(reused, path, "{architecture} {ports}: {input}->{output}");
+                        for hop in &path.hops {
+                            let slot = fabric.element_slot(hop.element);
+                            assert!(slot < fabric.element_slots(), "{architecture} {ports}");
+                            let previous = element_of_slot.insert(slot, hop.element);
+                            assert!(
+                                previous.is_none_or(|e| e == hop.element),
+                                "{architecture} {ports}: slot {slot} is shared"
+                            );
+                            let link = fabric.link_slot(hop.element, hop.output_port);
+                            assert!((ports..fabric.link_slots()).contains(&link));
+                            let key = (hop.element, hop.output_port);
+                            let previous = link_of_id.insert(link, key);
+                            assert!(
+                                previous.is_none_or(|k| k == key),
+                                "{architecture} {ports}: link id {link} is shared"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -145,6 +145,8 @@ struct MeshNetwork {
     staging: Vec<[VecDeque<Packet>; 4]>,
     meta: HashMap<u64, PacketMeta>,
     next_packet_id: u64,
+    /// Packets a node completed this cycle (reused across nodes and cycles).
+    completed: Vec<Packet>,
 
     cycle: u64,
     measuring: bool,
@@ -224,6 +226,7 @@ impl MeshNetwork {
             staging,
             meta: HashMap::new(),
             next_packet_id: 0,
+            completed: Vec::new(),
             cycle: 0,
             measuring: false,
             measured_cycles: 0,
@@ -357,7 +360,8 @@ impl MeshNetwork {
     /// move to egress staging.
     fn step_nodes(&mut self) {
         for node in 0..self.nodes.len() {
-            for packet in self.nodes[node].step(self.cycle) {
+            self.nodes[node].step(self.cycle, &mut self.completed);
+            for packet in self.completed.drain(..) {
                 if packet.destination == LOCAL_PORT {
                     let meta = self
                         .meta

@@ -48,6 +48,8 @@ pub mod config;
 pub mod energy;
 pub mod metrics;
 pub mod node;
+#[cfg(test)]
+mod oracle;
 pub mod packet;
 pub mod sim;
 pub mod traffic;

@@ -1,54 +1,112 @@
 //! The reusable per-tick switching core of one router.
 //!
-//! [`RouterNode`] is the per-cycle body that used to live inside
-//! `RouterSimulator::step`: accept injected packets, arbitrate head-of-line
-//! packets onto free egress ports, resolve interconnect contention, push one
-//! payload word per in-flight packet while charging switch/wire/buffer
-//! energy, and hand back the packets that finished crossing the fabric this
-//! cycle.  Traffic is *injected* ([`RouterNode::inject`]) rather than
-//! self-generated, so the same core serves both the single-router driver
-//! (`RouterSimulator`, which feeds it from a `TrafficGenerator`) and a
-//! network node (`fabric-power-noc`, which feeds it from inter-router
-//! links).
+//! [`RouterNode`] is the per-cycle body of the router: accept injected
+//! packets, arbitrate head-of-line packets onto free egress ports, resolve
+//! interconnect contention, push one payload word per in-flight packet while
+//! charging switch/wire/buffer energy, and hand back the packets that
+//! finished crossing the fabric this cycle.  Traffic is *injected*
+//! ([`RouterNode::inject`]) rather than self-generated, so the same core
+//! serves both the single-router driver (`RouterSimulator`, which feeds it
+//! from a `TrafficGenerator`) and a network node (`fabric-power-noc`, which
+//! feeds it from inter-router links).
 //!
 //! The node knows nothing about warmup windows, latency bookkeeping or
 //! traffic patterns: the driver owns the clock and calls
-//! [`RouterNode::step`] once per cycle, then interprets the returned
-//! completions (recording end-to-end latency, or forwarding the packet to
-//! its next hop).
+//! [`RouterNode::step`] once per cycle, then interprets the completions it
+//! moved into the caller's buffer (recording end-to-end latency, or
+//! forwarding the packet to its next hop).
+//!
+//! # Dense state
+//!
+//! All per-cycle state lives in vectors sized once in [`RouterNode::new`],
+//! so a cycle allocates nothing and hashes nothing:
+//!
+//! * node switches are numbered by [`FabricTopology::element_slot`] and
+//!   links by [`FabricTopology::link_slot`] (ids `0..ports` are the ingress
+//!   segments); per-link polarity state and per-element buffer occupancy are
+//!   plain `Vec<u64>`s indexed by them;
+//! * contention claims are epoch-stamped (a link is claimed this cycle iff
+//!   its stamp equals the cycle's epoch), and the per-element occupancy the
+//!   switch LUT is indexed with is reset through a list of the slots touched;
+//! * each input port feeds at most one flow, so the granted flow's path is
+//!   written, as compact dense hops, into that input's reusable slot;
+//! * the switch energy charged per hop, `E_S(k) · bus_width / k` (or
+//!   `E_S(1) · bus_width · N` on a crossbar row), is precomputed once per
+//!   (switch class, charged inputs) for every occupancy `k`.  It is the same
+//!   expression the LUT lookup evaluates, and the per-cycle sums are taken
+//!   in the same order, so every energy keeps its bits.
+//!
+//! # Arbitration in O(ports)
+//!
+//! The arbiter visits outputs in ascending order and grants each free
+//! output to the first free input, in round-robin order from the output's
+//! grant pointer, whose head-of-line packet is addressed to it.  An input's
+//! head packet has exactly one destination, so no two outputs ever compete
+//! for the same input within a cycle: each output's winner is simply the
+//! requesting input at the smallest distance `(input − pointer) mod ports`.
+//! One pass over the inputs finds those winners and a second pass grants
+//! them in ascending output order, so flows enter in the same order as an
+//! output-by-input scan would grant them.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
-use fabric_power_fabric::topology::{ElementId, FabricTopology, RoutePath};
+use fabric_power_fabric::topology::{FabricTopology, RoutePath};
 use fabric_power_fabric::Architecture;
+use fabric_power_netlist::SwitchClass;
+use fabric_power_tech::units::Energy;
 use fabric_power_tech::wire::polarity_flips;
 
 use crate::energy::EnergyAccount;
 use crate::packet::Packet;
 use crate::sim::SimulationError;
 
-/// A link inside the fabric, used to track per-wire polarity state and to
-/// detect interconnect contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum LinkKey {
-    /// The dedicated ingress segment of one input port.
-    Ingress(usize),
-    /// The output link of a node switch.
-    Hop(ElementId, usize),
+/// One hop of a granted flow's path, in dense indices.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    /// The node switch traversed ([`FabricTopology::element_slot`]).
+    element: u32,
+    /// The link driven after it ([`FabricTopology::link_slot`]).
+    link: u32,
+    /// Row of [`RouterNode::switch_energy`] charged at this hop.
+    class: u32,
+    /// Thompson grids of that link.
+    grids: u32,
+    /// Whether losing the link to contention parks the word in a buffer.
+    bufferable: bool,
+}
+
+/// The path of the flow an input port currently feeds.
+#[derive(Debug)]
+struct PathSlot {
+    /// Thompson grids of the ingress segment.
+    wire_grids_before: u32,
+    /// Whether any hop can suffer interconnect contention.
+    contendable: bool,
+    hops: Vec<Hop>,
+}
+
+/// Per-bit-slot switch energy of one (switch class, charged inputs) pair,
+/// indexed by the element's occupancy `k` (entry 0 repeats entry 1).
+#[derive(Debug)]
+struct SwitchEnergyRow {
+    class: SwitchClass,
+    charged_inputs: usize,
+    by_occupancy: Vec<Energy>,
 }
 
 /// One packet currently crossing the fabric.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ActiveFlow {
     packet: Packet,
-    path: RoutePath,
+    /// The input port feeding the flow; its [`PathSlot`] holds the path.
+    input: usize,
     words_delivered: usize,
     /// Words currently parked in a node buffer because of contention.
     backlog: u64,
-    /// The node the backlog is parked at (first contended hop).
-    backlog_element: Option<ElementId>,
+    /// The element slot the backlog is parked at (first contended hop).
+    backlog_element: Option<u32>,
     blocked: bool,
 }
 
@@ -74,9 +132,32 @@ pub struct RouterNode {
     input_busy: Vec<bool>,
     output_busy: Vec<bool>,
     grant_pointer: Vec<usize>,
+    /// Per output: the input that wins it this cycle, `usize::MAX` if none.
+    candidate: Vec<usize>,
     flows: Vec<ActiveFlow>,
-    link_last_word: HashMap<LinkKey, u64>,
-    node_buffer_words: HashMap<ElementId, u64>,
+    /// Per input: the path of the flow it feeds.
+    paths: Vec<PathSlot>,
+    /// Scratch path [`FabricTopology::route_into`] writes a grant's route to.
+    route: RoutePath,
+
+    /// Per link: the last word driven on it.
+    link_last_word: Vec<u64>,
+    /// Per link: the epoch of the cycle that last claimed it.
+    link_claim: Vec<u64>,
+    epoch: u64,
+    /// Per element: words parked in its buffer.
+    node_buffer_words: Vec<u64>,
+    /// Per element: flows transmitting through it this cycle.
+    occupancy: Vec<u32>,
+    /// Elements whose occupancy is non-zero this cycle.
+    occupied: Vec<u32>,
+
+    switch_energy: Vec<SwitchEnergyRow>,
+    bus_width_bits: u64,
+    word_mask: u64,
+    grid_bit_energy: Energy,
+    /// Buffer energy of one parked word (`E_B_bit · bus_width`).
+    buffer_word_energy: Energy,
 
     measuring: bool,
     words_delivered: u64,
@@ -105,23 +186,50 @@ impl RouterNode {
             });
         }
         let topology = FabricTopology::new(architecture, ports)?;
+        let stages = topology.stage_count();
+        let bus_width_bits = model.bus_width_bits();
         Ok(Self {
             ports,
             node_buffer_bits,
-            model,
-            topology,
             input_queues: vec![VecDeque::new(); ports],
             input_busy: vec![false; ports],
             output_busy: vec![false; ports],
             grant_pointer: vec![0; ports],
-            flows: Vec::new(),
-            link_last_word: HashMap::new(),
-            node_buffer_words: HashMap::new(),
+            candidate: vec![usize::MAX; ports],
+            flows: Vec::with_capacity(ports),
+            paths: (0..ports)
+                .map(|_| PathSlot {
+                    wire_grids_before: 0,
+                    contendable: false,
+                    hops: Vec::with_capacity(stages),
+                })
+                .collect(),
+            route: RoutePath {
+                wire_grids_before: 0,
+                hops: Vec::with_capacity(stages),
+            },
+            link_last_word: vec![0; topology.link_slots()],
+            link_claim: vec![0; topology.link_slots()],
+            epoch: 0,
+            node_buffer_words: vec![0; topology.element_slots()],
+            occupancy: vec![0; topology.element_slots()],
+            occupied: Vec::new(),
+            switch_energy: Vec::new(),
+            bus_width_bits: u64::from(bus_width_bits),
+            word_mask: if bus_width_bits >= 64 {
+                u64::MAX
+            } else {
+                (1_u64 << bus_width_bits) - 1
+            },
+            grid_bit_energy: model.grid_bit_energy(),
+            buffer_word_energy: model.buffer_bit_energy() * f64::from(bus_width_bits),
             measuring: false,
             words_delivered: 0,
             buffered_words: 0,
             buffer_overflow_cycles: 0,
             energy: EnergyAccount::new(),
+            model,
+            topology,
         })
     }
 
@@ -191,55 +299,87 @@ impl RouterNode {
     }
 
     /// Runs one clock cycle — arbitration, contention resolution, word
-    /// transmission, flow completion — and returns the packets that finished
-    /// crossing the fabric this cycle, in completion order.
+    /// transmission, flow completion — and appends the packets that finished
+    /// crossing the fabric this cycle to `completed`, in completion order.
     ///
     /// The caller owns the clock: `cycle` only seeds the rotating contention
     /// priority and is echoed nowhere else.
-    pub fn step(&mut self, cycle: u64) -> Vec<Packet> {
+    pub fn step(&mut self, cycle: u64, completed: &mut Vec<Packet>) {
         self.arbitrate();
         self.resolve_contention(cycle);
         self.transmit();
-        self.complete_flows()
+        self.complete_flows(completed);
     }
 
     /// First-come-first-serve arbitration with a round-robin tie-break per
     /// egress port: destination contention is resolved here, before packets
-    /// enter the fabric (paper §3.2).
+    /// enter the fabric (paper §3.2).  See the module docs for why one pass
+    /// over the inputs finds every output's winner.
     fn arbitrate(&mut self) {
         let ports = self.ports;
-        for output in 0..ports {
+        self.candidate.fill(usize::MAX);
+        for input in 0..ports {
+            if self.input_busy[input] {
+                continue;
+            }
+            let Some(head) = self.input_queues[input].front() else {
+                continue;
+            };
+            let output = head.destination;
             if self.output_busy[output] {
                 continue;
             }
-            let start = self.grant_pointer[output];
-            for offset in 0..ports {
-                let input = (start + offset) % ports;
-                if self.input_busy[input] {
-                    continue;
-                }
-                let Some(head) = self.input_queues[input].front() else {
-                    continue;
-                };
-                if head.destination != output {
-                    continue;
-                }
-                let packet = self.input_queues[input].pop_front().expect("head exists");
-                let path = self.topology.route(input, output);
-                self.flows.push(ActiveFlow {
-                    packet,
-                    path,
-                    words_delivered: 0,
-                    backlog: 0,
-                    backlog_element: None,
-                    blocked: false,
-                });
-                self.input_busy[input] = true;
-                self.output_busy[output] = true;
-                self.grant_pointer[output] = (input + 1) % ports;
-                break;
+            let pointer = self.grant_pointer[output];
+            let distance = |input: usize| (input + ports - pointer) % ports;
+            let current = self.candidate[output];
+            if current == usize::MAX || distance(input) < distance(current) {
+                self.candidate[output] = input;
             }
         }
+        for output in 0..ports {
+            let input = self.candidate[output];
+            if input != usize::MAX {
+                self.grant(input, output);
+            }
+        }
+    }
+
+    /// Moves `input`'s head packet into the fabric towards `output` and
+    /// writes its path into the input's slot.
+    fn grant(&mut self, input: usize, output: usize) {
+        let packet = self.input_queues[input].pop_front().expect("head exists");
+        self.topology.route_into(input, output, &mut self.route);
+        let slot = &mut self.paths[input];
+        slot.wire_grids_before = grids_u32(self.route.wire_grids_before);
+        slot.contendable = false;
+        slot.hops.clear();
+        for hop in &self.route.hops {
+            slot.contendable |= hop.buffered_on_contention;
+            slot.hops.push(Hop {
+                element: dense_u32(self.topology.element_slot(hop.element)),
+                link: dense_u32(self.topology.link_slot(hop.element, hop.output_port)),
+                class: switch_energy_row(
+                    &mut self.switch_energy,
+                    &self.model,
+                    self.ports,
+                    hop.class,
+                    hop.charged_inputs,
+                ),
+                grids: grids_u32(hop.wire_grids_after),
+                bufferable: hop.buffered_on_contention,
+            });
+        }
+        self.flows.push(ActiveFlow {
+            packet,
+            input,
+            words_delivered: 0,
+            backlog: 0,
+            backlog_element: None,
+            blocked: false,
+        });
+        self.input_busy[input] = true;
+        self.output_busy[output] = true;
+        self.grant_pointer[output] = (input + 1) % self.ports;
     }
 
     /// Detects interconnect contention (internal blocking) for fabrics whose
@@ -254,39 +394,26 @@ impl RouterNode {
         if self.flows.is_empty() {
             return;
         }
-        let mut claimed: HashMap<LinkKey, usize> = HashMap::new();
+        self.epoch += 1;
         let count = self.flows.len();
         let start = (cycle as usize) % count;
         for offset in 0..count {
             let index = (start + offset) % count;
-            let flow = &self.flows[index];
-            if flow.is_complete() {
+            let flow = &mut self.flows[index];
+            let path = &self.paths[flow.input];
+            if flow.is_complete() || !path.contendable {
                 continue;
             }
-            let contendable = flow.path.hops.iter().any(|h| h.buffered_on_contention);
-            if !contendable {
-                continue;
-            }
-            let mut blocking_element = None;
-            for hop in flow.path.hops.iter().filter(|h| h.buffered_on_contention) {
-                let key = LinkKey::Hop(hop.element, hop.output_port);
-                if claimed.contains_key(&key) {
-                    blocking_element = Some(hop.element);
-                    break;
-                }
-            }
-            if let Some(element) = blocking_element {
-                let flow = &mut self.flows[index];
+            let mut contended = path.hops.iter().filter(|hop| hop.bufferable);
+            if let Some(hop) = contended
+                .clone()
+                .find(|hop| self.link_claim[hop.link as usize] == self.epoch)
+            {
                 flow.blocked = true;
-                flow.backlog_element = Some(element);
+                flow.backlog_element = Some(hop.element);
             } else {
-                for hop in self.flows[index]
-                    .path
-                    .hops
-                    .iter()
-                    .filter(|h| h.buffered_on_contention)
-                {
-                    claimed.insert(LinkKey::Hop(hop.element, hop.output_port), index);
+                for hop in &mut contended {
+                    self.link_claim[hop.link as usize] = self.epoch;
                 }
             }
         }
@@ -294,28 +421,24 @@ impl RouterNode {
 
     /// Advances every flow by one word, charging energy as it goes.
     fn transmit(&mut self) {
-        let bus_width = f64::from(self.model.bus_width_bits());
-        let word_mask = if self.model.bus_width_bits() >= 64 {
-            u64::MAX
-        } else {
-            (1_u64 << self.model.bus_width_bits()) - 1
-        };
-
         // Per-element occupancy of flows that transmit this cycle (the input
         // vector the node-switch LUT is indexed with).
-        let mut occupancy: HashMap<ElementId, usize> = HashMap::new();
         for flow in &self.flows {
             if flow.blocked || flow.is_complete() {
                 continue;
             }
-            for hop in &flow.path.hops {
-                *occupancy.entry(hop.element).or_insert(0) += 1;
+            for hop in &self.paths[flow.input].hops {
+                let count = &mut self.occupancy[hop.element as usize];
+                if *count == 0 {
+                    self.occupied.push(hop.element);
+                }
+                *count += 1;
             }
         }
 
-        let mut switch_energy = fabric_power_tech::units::Energy::ZERO;
-        let mut wire_energy = fabric_power_tech::units::Energy::ZERO;
-        let mut buffer_energy = fabric_power_tech::units::Energy::ZERO;
+        let mut switch_energy = Energy::ZERO;
+        let mut wire_energy = Energy::ZERO;
+        let mut buffer_energy = Energy::ZERO;
 
         for flow in &mut self.flows {
             if flow.is_complete() {
@@ -324,54 +447,41 @@ impl RouterNode {
             if flow.blocked {
                 // The word arriving at the contended node this cycle is written
                 // into (and will later be read back from) the node buffer.
-                buffer_energy += self.model.buffer_bit_energy() * bus_width;
+                buffer_energy += self.buffer_word_energy;
                 flow.backlog += 1;
                 if self.measuring {
                     self.buffered_words += 1;
                 }
                 if let Some(element) = flow.backlog_element {
-                    let entry = self.node_buffer_words.entry(element).or_insert(0);
-                    *entry += 1;
-                    if *entry * u64::from(self.model.bus_width_bits()) > self.node_buffer_bits
-                        && self.measuring
-                    {
+                    let parked = &mut self.node_buffer_words[element as usize];
+                    *parked += 1;
+                    if *parked * self.bus_width_bits > self.node_buffer_bits && self.measuring {
                         self.buffer_overflow_cycles += 1;
                     }
                 }
                 continue;
             }
 
-            let word = flow.packet.payload[flow.words_delivered] & word_mask;
+            let word = flow.packet.payload[flow.words_delivered] & self.word_mask;
+            let path = &self.paths[flow.input];
 
             // Wire energy: only bits that flip polarity on each interconnect
-            // segment dissipate energy (paper Eq. 2).
-            let ingress_key = LinkKey::Ingress(flow.packet.source);
-            let previous = self.link_last_word.insert(ingress_key, word).unwrap_or(0);
+            // segment dissipate energy (paper Eq. 2).  Node-switch energy
+            // comes from the input-vector LUT at the element's occupancy:
+            // the LUT value is the whole switch's per-bit-slot energy, split
+            // evenly between the packets sharing the switch so it is charged
+            // exactly once (a crossbar row instead charges all N crosspoint
+            // inputs, Eq. 3's N·E_S term).
+            let previous = std::mem::replace(&mut self.link_last_word[flow.input], word);
             let flips = f64::from(polarity_flips(previous, word));
-            wire_energy +=
-                self.model.grid_bit_energy() * (flips * flow.path.wire_grids_before as f64);
-            for hop in &flow.path.hops {
-                let key = LinkKey::Hop(hop.element, hop.output_port);
-                let previous = self.link_last_word.insert(key, word).unwrap_or(0);
+            wire_energy += self.grid_bit_energy * (flips * f64::from(path.wire_grids_before));
+            for hop in &path.hops {
+                let previous = std::mem::replace(&mut self.link_last_word[hop.link as usize], word);
                 let flips = f64::from(polarity_flips(previous, word));
-                wire_energy += self.model.grid_bit_energy() * (flips * hop.wire_grids_after as f64);
-            }
-
-            // Node-switch energy from the input-vector LUT.
-            for hop in &flow.path.hops {
-                if hop.charged_inputs > 1 {
-                    // Crossbar row: the bit toggles the inputs of all N
-                    // crosspoints (Eq. 3's N·E_S term).
-                    switch_energy += self.model.switch_bit_energy(hop.class, 1)
-                        * (bus_width * hop.charged_inputs as f64);
-                } else {
-                    let occupants = occupancy.get(&hop.element).copied().unwrap_or(1).max(1);
-                    // The LUT value is the whole switch's per-bit-slot energy
-                    // under that occupancy; split it evenly between the
-                    // packets sharing the switch so it is charged exactly once.
-                    switch_energy += self.model.switch_bit_energy(hop.class, occupants)
-                        * (bus_width / occupants as f64);
-                }
+                wire_energy += self.grid_bit_energy * (flips * f64::from(hop.grids));
+                let occupants = self.occupancy[hop.element as usize] as usize;
+                switch_energy +=
+                    self.switch_energy[hop.class as usize].by_occupancy[occupants.max(1)];
             }
 
             // A word previously parked in the node buffer drains along with
@@ -379,9 +489,8 @@ impl RouterNode {
             if flow.backlog > 0 {
                 flow.backlog -= 1;
                 if let Some(element) = flow.backlog_element {
-                    if let Some(entry) = self.node_buffer_words.get_mut(&element) {
-                        *entry = entry.saturating_sub(1);
-                    }
+                    let parked = &mut self.node_buffer_words[element as usize];
+                    *parked = parked.saturating_sub(1);
                 }
             }
 
@@ -391,6 +500,10 @@ impl RouterNode {
             }
         }
 
+        for element in self.occupied.drain(..) {
+            self.occupancy[element as usize] = 0;
+        }
+
         if self.measuring {
             self.energy.switches += switch_energy;
             self.energy.wires += wire_energy;
@@ -398,22 +511,139 @@ impl RouterNode {
         }
     }
 
-    /// Removes finished flows, frees their input/output ports, and returns
-    /// their packets in completion order.
-    fn complete_flows(&mut self) -> Vec<Packet> {
-        let mut completed = Vec::new();
-        self.flows.retain(|flow| {
-            if flow.is_complete() {
-                completed.push(flow.packet.clone());
-                false
+    /// Removes finished flows, frees their input/output ports, and moves
+    /// their packets into `completed` in completion order.
+    fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
+        let mut index = 0;
+        while index < self.flows.len() {
+            if self.flows[index].is_complete() {
+                let flow = self.flows.remove(index);
+                self.input_busy[flow.input] = false;
+                self.output_busy[flow.packet.destination] = false;
+                completed.push(flow.packet);
             } else {
-                true
+                index += 1;
             }
-        });
-        for packet in &completed {
-            self.input_busy[packet.source] = false;
-            self.output_busy[packet.destination] = false;
         }
-        completed
+    }
+}
+
+/// The row of `rows` for (`class`, `charged_inputs`), built on first use:
+/// entry `k` is the energy one packet is charged per word at a switch with
+/// `k` occupants.
+fn switch_energy_row(
+    rows: &mut Vec<SwitchEnergyRow>,
+    model: &FabricEnergyModel,
+    ports: usize,
+    class: SwitchClass,
+    charged_inputs: usize,
+) -> u32 {
+    if let Some(row) = rows
+        .iter()
+        .position(|row| row.class == class && row.charged_inputs == charged_inputs)
+    {
+        return dense_u32(row);
+    }
+    let bus_width = f64::from(model.bus_width_bits());
+    let by_occupancy = (0..=ports)
+        .map(|occupants| {
+            if charged_inputs > 1 {
+                model.switch_bit_energy(class, 1) * (bus_width * charged_inputs as f64)
+            } else {
+                let occupants = occupants.max(1);
+                model.switch_bit_energy(class, occupants) * (bus_width / occupants as f64)
+            }
+        })
+        .collect();
+    rows.push(SwitchEnergyRow {
+        class,
+        charged_inputs,
+        by_occupancy,
+    });
+    dense_u32(rows.len() - 1)
+}
+
+fn dense_u32(index: usize) -> u32 {
+    u32::try_from(index).expect("dense fabric index fits in u32")
+}
+
+fn grids_u32(grids: u64) -> u32 {
+    u32::try_from(grids).expect("wire length fits in u32 grids")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::oracle;
+    use crate::traffic::{TrafficGenerator, TrafficPattern};
+    use proptest::prelude::*;
+
+    fn paper_model(ports: usize) -> Arc<FabricEnergyModel> {
+        Arc::new(FabricEnergyModel::paper(ports).expect("paper model"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dense_node_matches_the_hashmap_oracle(
+            architecture in 0_usize..4,
+            log_ports in 1_u32..=5,
+            load in 0.05_f64..=1.0,
+            packet_words in 1_usize..=20,
+            buffer_words in 1_u64..=6,
+            cycles in 40_u64..=300,
+            measure_fraction in 0.0_f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let architecture = Architecture::ALL[architecture];
+            let ports = 1 << log_ports;
+            let model = paper_model(ports);
+            let buffer_bits = buffer_words * u64::from(model.bus_width_bits());
+            let mut dense =
+                RouterNode::new(architecture, ports, buffer_bits, Arc::clone(&model)).unwrap();
+            let mut reference =
+                oracle::RouterNode::new(architecture, ports, buffer_bits, model).unwrap();
+            let mut traffic = TrafficGenerator::new(
+                ports,
+                load,
+                packet_words,
+                TrafficPattern::UniformRandom,
+                seed,
+            );
+            let measure_at = (cycles as f64 * measure_fraction) as u64;
+            let mut completed = Vec::new();
+            for cycle in 0..cycles {
+                if cycle == measure_at {
+                    dense.begin_measurement();
+                    reference.begin_measurement();
+                }
+                for port in 0..ports {
+                    if let Some(packet) = traffic.arrivals(port, cycle) {
+                        reference.inject(port, packet.clone());
+                        dense.inject(port, packet);
+                    }
+                }
+                completed.clear();
+                dense.step(cycle, &mut completed);
+                let expected: Vec<u64> =
+                    reference.step(cycle).iter().map(|packet| packet.id).collect();
+                let got: Vec<u64> = completed.iter().map(|packet| packet.id).collect();
+                prop_assert!(
+                    got == expected,
+                    "{architecture} x{ports} cycle {cycle}: {got:?} != {expected:?}"
+                );
+            }
+            let (d, r) = (dense.energy(), reference.energy());
+            prop_assert_eq!(d.switches.as_joules().to_bits(), r.switches.as_joules().to_bits());
+            prop_assert_eq!(d.wires.as_joules().to_bits(), r.wires.as_joules().to_bits());
+            prop_assert_eq!(d.buffers.as_joules().to_bits(), r.buffers.as_joules().to_bits());
+            prop_assert_eq!(dense.words_delivered(), reference.words_delivered());
+            prop_assert_eq!(dense.buffered_words(), reference.buffered_words());
+            prop_assert_eq!(
+                dense.buffer_overflow_cycles(),
+                reference.buffer_overflow_cycles()
+            );
+        }
     }
 }

@@ -25,6 +25,7 @@ use fabric_power_fabric::topology::TopologyError;
 use crate::config::{SimulationConfig, SimulationReport};
 use crate::metrics::LatencyHistogram;
 use crate::node::RouterNode;
+use crate::packet::Packet;
 use crate::traffic::TrafficGenerator;
 
 /// Errors raised when constructing a [`RouterSimulator`].
@@ -107,6 +108,8 @@ pub struct RouterSimulator {
     /// with the NoC layer, which drives a whole mesh of them.
     node: RouterNode,
     traffic: TrafficGenerator,
+    /// Packets the node completed this cycle (reused across cycles).
+    completed: Vec<Packet>,
 
     cycle: u64,
     measuring: bool,
@@ -181,6 +184,7 @@ impl RouterSimulator {
         Ok(Self {
             node,
             traffic,
+            completed: Vec::new(),
             cycle: 0,
             measuring: false,
             measured_cycles: 0,
@@ -217,7 +221,8 @@ impl RouterSimulator {
                 self.node.inject(port, packet);
             }
         }
-        for packet in self.node.step(self.cycle) {
+        self.node.step(self.cycle, &mut self.completed);
+        for packet in self.completed.drain(..) {
             if self.measuring {
                 self.packets_delivered += 1;
                 self.latency.record(self.cycle + 1 - packet.arrival_cycle);

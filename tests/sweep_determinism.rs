@@ -178,7 +178,10 @@ fn golden_all_architecture_sweep_bytes_are_pinned() {
     // HashMap-keyed router tick, before the dense one replaced it: all four
     // fabrics at 4 and 32 ports, below (0.3) and above (0.9) saturation, so
     // the 32-port, contended and saturated paths are pinned too.
-    assert_golden_sweep("router_all_arch_scenario.json", "router_all_arch_sweep.json");
+    assert_golden_sweep(
+        "router_all_arch_scenario.json",
+        "router_all_arch_sweep.json",
+    );
 }
 
 #[test]
