@@ -410,7 +410,11 @@ impl RouterNode {
                 .find(|hop| self.link_claim[hop.link as usize] == self.epoch)
             {
                 flow.blocked = true;
-                flow.backlog_element = Some(hop.element);
+                // Parked words stay at the first contended hop until they
+                // drain, so only an empty backlog moves to a new element.
+                if flow.backlog == 0 {
+                    flow.backlog_element = Some(hop.element);
+                }
             } else {
                 for hop in &mut contended {
                     self.link_claim[hop.link as usize] = self.epoch;
@@ -489,8 +493,7 @@ impl RouterNode {
             if flow.backlog > 0 {
                 flow.backlog -= 1;
                 if let Some(element) = flow.backlog_element {
-                    let parked = &mut self.node_buffer_words[element as usize];
-                    *parked = parked.saturating_sub(1);
+                    self.node_buffer_words[element as usize] -= 1;
                 }
             }
 
@@ -511,13 +514,17 @@ impl RouterNode {
         }
     }
 
-    /// Removes finished flows, frees their input/output ports, and moves
-    /// their packets into `completed` in completion order.
+    /// Removes finished flows, frees their input/output ports and any words
+    /// still parked for them, and moves their packets into `completed` in
+    /// completion order.
     fn complete_flows(&mut self, completed: &mut Vec<Packet>) {
         let mut index = 0;
         while index < self.flows.len() {
             if self.flows[index].is_complete() {
                 let flow = self.flows.remove(index);
+                if let Some(element) = flow.backlog_element {
+                    self.node_buffer_words[element as usize] -= flow.backlog;
+                }
                 self.input_busy[flow.input] = false;
                 self.output_busy[flow.packet.destination] = false;
                 completed.push(flow.packet);
@@ -580,6 +587,50 @@ mod tests {
 
     fn paper_model(ports: usize) -> Arc<FabricEnergyModel> {
         Arc::new(FabricEnergyModel::paper(ports).expect("paper model"))
+    }
+
+    /// Words parked in node buffers, and the backlog the live flows hold.
+    fn parked_and_backlog(node: &RouterNode) -> (u64, u64) {
+        let parked = node.node_buffer_words.iter().sum();
+        let backlog = node.flows.iter().map(|flow| flow.backlog).sum();
+        (parked, backlog)
+    }
+
+    #[test]
+    fn parked_words_track_the_live_backlog_and_drain_to_zero() {
+        for architecture in Architecture::ALL {
+            for (ports, load) in [(4, 0.3), (32, 0.9)] {
+                let mut node =
+                    RouterNode::new(architecture, ports, 256, paper_model(ports)).unwrap();
+                let mut traffic = TrafficGenerator::new(
+                    ports,
+                    load,
+                    16,
+                    TrafficPattern::UniformRandom,
+                    229_384_194,
+                );
+                let mut completed = Vec::new();
+                let mut cycle = 0;
+                let busy = |node: &RouterNode| {
+                    !node.flows.is_empty() || node.input_queues.iter().any(|q| !q.is_empty())
+                };
+                while cycle < 1500 || busy(&node) {
+                    if cycle < 1500 {
+                        for port in 0..ports {
+                            if let Some(packet) = traffic.arrivals(port, cycle) {
+                                node.inject(port, packet);
+                            }
+                        }
+                    }
+                    node.step(cycle, &mut completed);
+                    let (parked, backlog) = parked_and_backlog(&node);
+                    assert_eq!(parked, backlog, "{architecture} x{ports} cycle {cycle}");
+                    cycle += 1;
+                    assert!(cycle < 1_000_000, "{architecture} x{ports} never drains");
+                }
+                assert_eq!(parked_and_backlog(&node), (0, 0), "{architecture} x{ports}");
+            }
+        }
     }
 
     proptest! {

@@ -267,7 +267,9 @@ impl RouterNode {
             if let Some(element) = blocking_element {
                 let flow = &mut self.flows[index];
                 flow.blocked = true;
-                flow.backlog_element = Some(element);
+                if flow.backlog == 0 {
+                    flow.backlog_element = Some(element);
+                }
             } else {
                 for hop in self.flows[index]
                     .path
@@ -391,8 +393,12 @@ impl RouterNode {
     /// their packets in completion order.
     fn complete_flows(&mut self) -> Vec<Packet> {
         let mut completed = Vec::new();
+        let node_buffer_words = &mut self.node_buffer_words;
         self.flows.retain(|flow| {
             if flow.is_complete() {
+                if let Some(element) = flow.backlog_element {
+                    *node_buffer_words.entry(element).or_insert(0) -= flow.backlog;
+                }
                 completed.push(flow.packet.clone());
                 false
             } else {
