@@ -15,7 +15,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use fabric_power_netlist::SwitchClass;
+// Re-exported because every `PathHop` names its class.
+pub use fabric_power_netlist::SwitchClass;
 use fabric_power_thompson::wirelength;
 
 use crate::architecture::Architecture;

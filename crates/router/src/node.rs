@@ -52,9 +52,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fabric_power_fabric::energy_model::FabricEnergyModel;
-use fabric_power_fabric::topology::{FabricTopology, RoutePath};
+use fabric_power_fabric::topology::{FabricTopology, RoutePath, SwitchClass};
 use fabric_power_fabric::Architecture;
-use fabric_power_netlist::SwitchClass;
 use fabric_power_tech::units::Energy;
 use fabric_power_tech::wire::polarity_flips;
 
