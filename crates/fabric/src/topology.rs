@@ -195,16 +195,9 @@ impl FabricTopology {
         }
     }
 
-    /// Size of the dense element numbering [`FabricTopology::element_slot`]
-    /// maps into: every slot is below this bound.
-    #[must_use]
-    pub fn element_slots(&self) -> usize {
-        self.stage_count() * self.elements_per_stage()
-    }
-
-    /// A dense, stage-major index of a node switch, unique per element and
-    /// below [`FabricTopology::element_slots`].  Per-element simulator state
-    /// lives in plain vectors indexed by it.
+    /// A dense, stage-major index of a node switch: a one-to-one map of the
+    /// fabric's elements onto `0..element_count()`.  Per-element simulator
+    /// state lives in plain vectors indexed by it.
     #[must_use]
     pub fn element_slot(&self, element: ElementId) -> usize {
         element.stage * self.elements_per_stage() + element.index
@@ -214,7 +207,7 @@ impl FabricTopology {
     /// into.  Ids `0..ports` are the ingress segments of the input ports.
     #[must_use]
     pub fn link_slots(&self) -> usize {
-        self.ports + 2 * self.element_slots()
+        self.ports + 2 * self.element_count()
     }
 
     /// A dense index of the link leaving `element` on `output_port` (every
@@ -498,7 +491,7 @@ mod tests {
                         assert_eq!(reused, path, "{architecture} {ports}: {input}->{output}");
                         for hop in &path.hops {
                             let slot = fabric.element_slot(hop.element);
-                            assert!(slot < fabric.element_slots(), "{architecture} {ports}");
+                            assert!(slot < fabric.element_count(), "{architecture} {ports}");
                             let previous = element_of_slot.insert(slot, hop.element);
                             assert!(
                                 previous.is_none_or(|e| e == hop.element),
@@ -515,6 +508,11 @@ mod tests {
                         }
                     }
                 }
+                assert_eq!(
+                    element_of_slot.len(),
+                    fabric.element_count(),
+                    "{architecture} {ports}: every element has a slot"
+                );
             }
         }
     }

@@ -412,3 +412,78 @@ impl RouterNode {
         completed
     }
 }
+
+mod tests {
+    use super::RouterNode as HashMapNode;
+    use crate::node::RouterNode;
+    use crate::traffic::{TrafficGenerator, TrafficPattern};
+    use fabric_power_fabric::energy_model::FabricEnergyModel;
+    use fabric_power_fabric::Architecture;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dense_node_matches_the_hashmap_oracle(
+            architecture in 0_usize..4,
+            log_ports in 1_u32..=5,
+            load in 0.05_f64..=1.0,
+            packet_words in 1_usize..=20,
+            buffer_words in 1_u64..=6,
+            cycles in 40_u64..=300,
+            measure_fraction in 0.0_f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let architecture = Architecture::ALL[architecture];
+            let ports = 1 << log_ports;
+            let model = Arc::new(FabricEnergyModel::paper(ports).unwrap());
+            let buffer_bits = buffer_words * u64::from(model.bus_width_bits());
+            let mut dense =
+                RouterNode::new(architecture, ports, buffer_bits, Arc::clone(&model)).unwrap();
+            let mut reference =
+                HashMapNode::new(architecture, ports, buffer_bits, model).unwrap();
+            let mut traffic = TrafficGenerator::new(
+                ports,
+                load,
+                packet_words,
+                TrafficPattern::UniformRandom,
+                seed,
+            );
+            let measure_at = (cycles as f64 * measure_fraction) as u64;
+            let mut completed = Vec::new();
+            for cycle in 0..cycles {
+                if cycle == measure_at {
+                    dense.begin_measurement();
+                    reference.begin_measurement();
+                }
+                for port in 0..ports {
+                    if let Some(packet) = traffic.arrivals(port, cycle) {
+                        reference.inject(port, packet.clone());
+                        dense.inject(port, packet);
+                    }
+                }
+                completed.clear();
+                dense.step(cycle, &mut completed);
+                let expected: Vec<u64> =
+                    reference.step(cycle).iter().map(|packet| packet.id).collect();
+                let got: Vec<u64> = completed.iter().map(|packet| packet.id).collect();
+                prop_assert!(
+                    got == expected,
+                    "{architecture} x{ports} cycle {cycle}: {got:?} != {expected:?}"
+                );
+            }
+            let (d, r) = (dense.energy(), reference.energy());
+            prop_assert_eq!(d.switches.as_joules().to_bits(), r.switches.as_joules().to_bits());
+            prop_assert_eq!(d.wires.as_joules().to_bits(), r.wires.as_joules().to_bits());
+            prop_assert_eq!(d.buffers.as_joules().to_bits(), r.buffers.as_joules().to_bits());
+            prop_assert_eq!(dense.words_delivered(), reference.words_delivered());
+            prop_assert_eq!(dense.buffered_words(), reference.buffered_words());
+            prop_assert_eq!(
+                dense.buffer_overflow_cycles(),
+                reference.buffer_overflow_cycles()
+            );
+        }
+    }
+}
