@@ -31,7 +31,7 @@ use fabric_power_netlist::library::CellLibrary;
 use fabric_power_netlist::SwitchClass;
 
 /// The Table 1 switch set: 32-bit payload buses, 5-bit sort addresses
-/// (log2 of the paper's 32-port fabrics), as in the `table1` binary.
+/// (log2 of the paper's 32-port fabrics), as in the `tables` binary.
 const BUS_WIDTH: usize = 32;
 const ADDRESS_BITS: usize = 5;
 

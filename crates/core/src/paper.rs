@@ -1,46 +1,9 @@
-//! The paper's published numbers and qualitative claims, collected in one
-//! place so experiments and tests can compare against them.
-
-use serde::{Deserialize, Serialize};
+//! The paper's published numbers, collected in one place so experiments and
+//! tests can compare against them.
 
 use fabric_power_tech::constants;
 
-/// The qualitative observations of the paper's §6 that a faithful
-/// reproduction must exhibit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PaperClaims {
-    /// Claim 1: interconnect contention makes Banyan power grow sharply with
-    /// load while staying the lowest at low load.
-    pub banyan_buffer_penalty: bool,
-    /// Claim 2: the fully-connected fabric has the lowest simulated power and
-    /// its gap to Batcher-Banyan narrows as the port count grows.
-    pub fully_connected_cheapest: bool,
-    /// Claim 3: crossbar, fully-connected and Batcher-Banyan power grow
-    /// roughly linearly with the traffic throughput.
-    pub linear_growth_except_banyan: bool,
-}
-
-impl PaperClaims {
-    /// All claims asserted, as published.
-    #[must_use]
-    pub fn published() -> Self {
-        Self {
-            banyan_buffer_penalty: true,
-            fully_connected_cheapest: true,
-            linear_growth_except_banyan: true,
-        }
-    }
-}
-
-/// The published fully-connected vs. Batcher-Banyan power gaps at 50 % load.
-#[must_use]
-pub fn published_fc_vs_batcher_gap(ports: usize) -> Option<f64> {
-    match ports {
-        4 => Some(constants::PAPER_FC_VS_BATCHER_GAP_4X4),
-        32 => Some(constants::PAPER_FC_VS_BATCHER_GAP_32X32),
-        _ => None,
-    }
-}
+pub use constants::published_fc_vs_batcher_gap;
 
 /// Offered load below which the 32×32 Banyan is the cheapest fabric,
 /// as published.
@@ -61,7 +24,6 @@ mod tests {
 
     #[test]
     fn published_values_are_consistent() {
-        assert!(PaperClaims::published().banyan_buffer_penalty);
         assert_eq!(published_fc_vs_batcher_gap(4), Some(0.37));
         assert_eq!(published_fc_vs_batcher_gap(32), Some(0.20));
         assert_eq!(published_fc_vs_batcher_gap(8), None);

@@ -135,7 +135,9 @@ pub struct NetworkStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NetworkReport {
     /// Aggregate report in the single-router schema: summed energy and
-    /// word/packet counts, end-to-end latency percentiles.
+    /// word/packet counts, end-to-end latency percentiles.  Its
+    /// `buffer_overflow_cycles` is the sum over nodes of blocked words parked
+    /// beyond a node buffer's capacity (words, not cycles).
     pub simulation: SimulationReport,
     /// Network-level aggregates; `None` for a 1×1 network.
     #[serde(default, skip_serializing_if = "Option::is_none")]

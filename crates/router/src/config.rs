@@ -123,8 +123,10 @@ pub struct SimulationReport {
     /// Words written to (and later read from) internal buffers because of
     /// interconnect contention.
     pub buffered_words: u64,
-    /// Number of cycles in which a node buffer exceeded its configured
-    /// capacity (congestion indicator).
+    /// Blocked words parked in a node buffer that was already over its
+    /// configured capacity (congestion indicator).  Despite the name this
+    /// counts words, not cycles: several flows can overflow one buffer in
+    /// the same cycle, so it can exceed `measured_cycles`.
     pub buffer_overflow_cycles: u64,
     /// Mean packet latency (arrival to last word delivered), in cycles.
     pub average_latency_cycles: f64,

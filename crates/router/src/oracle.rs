@@ -167,7 +167,8 @@ impl RouterNode {
         self.buffered_words
     }
 
-    /// Cycles during which a node buffer exceeded its configured capacity.
+    /// Blocked words parked in a node buffer beyond its configured capacity
+    /// during the measurement window — a word count, not a cycle count.
     #[must_use]
     pub fn buffer_overflow_cycles(&self) -> u64 {
         self.buffer_overflow_cycles

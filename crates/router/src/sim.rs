@@ -345,6 +345,23 @@ mod tests {
     }
 
     #[test]
+    fn buffer_overflow_cycles_counts_words_not_cycles() {
+        // Tiny 32-bit node buffers overflow on the second parked word, and
+        // many flows park words in the same cycle, so the count (one per
+        // overflowing word, not per cycle) outruns the measurement window.
+        let mut config = SimulationConfig::quick(Architecture::Banyan, 32, 0.9);
+        config.node_buffer_bits = 32;
+        let report = simulate(config).unwrap();
+        assert!(
+            report.buffer_overflow_cycles > report.measured_cycles,
+            "{} overflowing words in {} cycles",
+            report.buffer_overflow_cycles,
+            report.measured_cycles
+        );
+        assert!(report.buffer_overflow_cycles <= report.buffered_words);
+    }
+
+    #[test]
     fn banyan_buffer_fraction_grows_with_load() {
         let low = run(Architecture::Banyan, 8, 0.1);
         let high = run(Architecture::Banyan, 8, 0.5);

@@ -1018,7 +1018,7 @@ fn netlist_stats(args: &[String]) -> Result<(), String> {
     use fabric_power_netlist::{EvalSchedule, SwitchClass};
 
     // The Table 1 switch set: 32-bit payload buses, 5-bit sort addresses
-    // (log2 of the paper's 32-port fabrics), matching the `table1` and
+    // (log2 of the paper's 32-port fabrics), matching the `tables` and
     // `characterize_bench` binaries.
     const BUS_WIDTH: usize = 32;
     const ADDRESS_BITS: usize = 5;

@@ -10,9 +10,9 @@
 //! larger.  This crate owns that problem end to end:
 //!
 //! * [`config`] — [`ExperimentConfig`]: the declarative description of a
-//!   sweep grid (formerly `fabric_power_core::experiment`), optionally with
-//!   a [`NetworkSweepConfig`] mesh axis that turns every operating point
-//!   into a network-of-routers run (`noc-*` scenarios);
+//!   sweep grid, optionally with a [`NetworkSweepConfig`] mesh axis that
+//!   turns every operating point into a network-of-routers run (`noc-*`
+//!   scenarios);
 //! * [`cell`] — [`SweepCell`]: one flattened operating point with its own
 //!   deterministic RNG seed, and [`SweepPoint`], the measured result —
 //!   including mean **and p50/p95/p99** latency from the simulator's

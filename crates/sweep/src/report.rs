@@ -1,18 +1,37 @@
 //! Plain-text summaries of sweep documents, used by `fabric-power report`.
 
+use fabric_power_tech::constants::{published_fc_vs_batcher_gap, FIGURE10_THROUGHPUT};
+
 use crate::emit::SweepDocument;
-use crate::sweeps::ThroughputSweep;
+use crate::sweeps::{PortSweep, ThroughputSweep};
 
 /// Renders a per-fabric-size power table plus headline observations for a
-/// sweep document.
+/// sweep document: the cheapest architecture per load and, where both
+/// fabrics were simulated, the fully-connected vs. Batcher-Banyan gap of
+/// Figure 10 (beside the published value at 4 and 32 ports, 50 % load).
 #[must_use]
 pub fn format_document(document: &SweepDocument) -> String {
     // Reuse ThroughputSweep's point lookup and cheapest-architecture
-    // selection so the CLI report and the programmatic API can never
-    // diverge on matching tolerance or tie-breaks.
+    // selection, and PortSweep's gap, so the CLI report and the
+    // programmatic API can never diverge on matching tolerance or
+    // tie-breaks.
     let sweep = ThroughputSweep {
         points: document.points.clone(),
     };
+    let port_sweeps: Vec<PortSweep> = document
+        .config
+        .offered_loads
+        .iter()
+        .map(|&load| PortSweep {
+            offered_load: load,
+            points: sweep
+                .points
+                .iter()
+                .filter(|p| (p.offered_load - load).abs() < 1e-9)
+                .cloned()
+                .collect(),
+        })
+        .collect();
     let mut out = String::new();
     out.push_str(&format!(
         "scenario: {} ({} points, seed 0x{:X}, {} seeding)\n",
@@ -80,6 +99,25 @@ pub fn format_document(document: &SweepDocument) -> String {
                 ));
             }
         }
+        for port_sweep in &port_sweeps {
+            if let Some(gap) = port_sweep.fully_connected_vs_batcher_gap(ports) {
+                out.push_str(&format!(
+                    "  FC vs Batcher-Banyan gap at {:.0}% load: {:.0}%",
+                    port_sweep.offered_load * 100.0,
+                    gap * 100.0
+                ));
+                // The paper quotes the gap at the Figure 10 load only.
+                let published = if (port_sweep.offered_load - FIGURE10_THROUGHPUT).abs() < 1e-9 {
+                    published_fc_vs_batcher_gap(ports)
+                } else {
+                    None
+                };
+                if let Some(paper) = published {
+                    out.push_str(&format!(" (paper: {:.0}%)", paper * 100.0));
+                }
+                out.push('\n');
+            }
+        }
     }
 
     // Network aggregates, for sweeps with a mesh axis: one row per
@@ -139,8 +177,8 @@ mod tests {
     #[test]
     fn report_mentions_every_architecture_and_size() {
         let config = ExperimentConfig {
-            port_counts: vec![4],
-            offered_loads: vec![0.1, 0.3],
+            port_counts: vec![4, 8],
+            offered_loads: vec![0.1, 0.3, 0.5],
             warmup_cycles: 50,
             measure_cycles: 200,
             ..ExperimentConfig::quick()
@@ -154,10 +192,33 @@ mod tests {
         };
         let text = format_document(&document);
         assert!(text.contains("4x4 fabric"));
+        assert!(text.contains("8x8 fabric"));
         for architecture in &config.architectures {
             assert!(text.contains(architecture.slug()), "{architecture}");
         }
         assert!(text.contains("cheapest at 10% load"));
+        // One gap row per size and load, equal to PortSweep's gap; the
+        // published value sits beside the 4-port row at the Figure 10 load
+        // only (the paper quotes no 8-port gap).
+        let engine = SweepEngine::new().with_threads(1);
+        for &load in &config.offered_loads {
+            let port_sweep = PortSweep::run_with(&config, load, &engine).unwrap();
+            for &ports in &config.port_counts {
+                let gap = port_sweep.fully_connected_vs_batcher_gap(ports).unwrap();
+                let paper = if ports == 4 && load == 0.5 {
+                    " (paper: 37%)"
+                } else {
+                    ""
+                };
+                let row = format!(
+                    "  FC vs Batcher-Banyan gap at {:.0}% load: {:.0}%{paper}\n",
+                    load * 100.0,
+                    gap * 100.0
+                );
+                assert!(text.contains(&row), "{row}");
+            }
+        }
+        assert_eq!(text.matches("(paper: ").count(), 1);
     }
 
     #[test]

@@ -35,6 +35,17 @@ pub const PAPER_FC_VS_BATCHER_GAP_4X4: f64 = 0.37;
 /// at 32×32, 50 % load (paper §6: "… to 20 % in 32×32 switches").
 pub const PAPER_FC_VS_BATCHER_GAP_32X32: f64 = 0.20;
 
+/// The published fully-connected vs. Batcher-Banyan power gap at
+/// [`FIGURE10_THROUGHPUT`], for the two port counts the paper quotes.
+#[must_use]
+pub fn published_fc_vs_batcher_gap(ports: usize) -> Option<f64> {
+    match ports {
+        4 => Some(PAPER_FC_VS_BATCHER_GAP_4X4),
+        32 => Some(PAPER_FC_VS_BATCHER_GAP_32X32),
+        _ => None,
+    }
+}
+
 /// Offered load below which the 32×32 Banyan is the lowest-power fabric
 /// (paper §6 observation 1: "less than 35 %").
 pub const PAPER_BANYAN_32X32_CROSSOVER: f64 = 0.35;

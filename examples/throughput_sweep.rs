@@ -2,12 +2,11 @@
 //! 10 % to 50 % and watch the Banyan's buffer penalty grow while the other
 //! fabrics scale linearly.
 //!
-//! Run with
-//! `cargo run --release -p fabric-power-core --example throughput_sweep`.
+//! Run with `cargo run --release --example throughput_sweep`.
 
-use fabric_power_core::experiment::{ExperimentConfig, SweepEngine, ThroughputSweep};
 use fabric_power_core::prelude::*;
-use fabric_power_core::report::format_figure9_panel;
+use fabric_power_sweep::report::format_document;
+use fabric_power_sweep::{ExperimentConfig, SweepDocument, SweepEngine, ThroughputSweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = ExperimentConfig::quick();
@@ -24,7 +23,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.threads()
     );
     let sweep = ThroughputSweep::run_with(&config, &engine)?;
-    println!("{}", format_figure9_panel(&sweep, 16));
+    let document = SweepDocument {
+        scenario: "throughput-sweep".into(),
+        config,
+        seed_strategy: engine.seed_strategy(),
+        points: sweep.points.clone(),
+    };
+    println!("{}", format_document(&document));
 
     // Show how the Banyan's buffer share of total energy grows with load.
     println!("Banyan internal-buffer share of total fabric energy:");

@@ -3,8 +3,8 @@
 //! Absolute numbers are not compared — the substrate is a simulator, not the
 //! authors' testbed — but every published observation must hold.
 
-use fabric_power_core::experiment::{ExperimentConfig, PortSweep, ThroughputSweep};
 use fabric_power_core::prelude::*;
+use fabric_power_sweep::{ExperimentConfig, PortSweep, ThroughputSweep};
 
 fn shape_config(port_counts: Vec<usize>, offered_loads: Vec<f64>) -> ExperimentConfig {
     ExperimentConfig {
